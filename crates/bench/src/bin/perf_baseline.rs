@@ -33,8 +33,7 @@
 //!
 //! **Experiment E19** rides along: a head-to-head of the plain arena
 //! engine against the same engine with protocol-level early stopping
-//! (`with_early_stop`) and the bitpacked VOTE evaluator
-//! (`with_packed_vote`), at the largest swept BYZ(2,2) cell (capped at
+//! (`with_early_stop`), at the largest swept BYZ(2,2) cell (capped at
 //! N = 13). Decisions must stay bit-identical, fault-free trials must
 //! report `messages_saved > 0`, and — with timing on at N = 13 — the
 //! optimized engine must be at least **2× faster** on the fault-free
@@ -99,10 +98,10 @@ impl Row {
     }
 }
 
-/// **E19** aggregate: the scalar arena engine vs the same engine with
-/// protocol-level early stopping and the bitpacked VOTE evaluator,
-/// split by fault class (early stopping is an expected-case win — it
-/// prunes most aggressively when the certified fault set is small).
+/// **E19** aggregate: the arena engine vs the same engine with
+/// protocol-level early stopping, split by fault class (early stopping
+/// is an expected-case win — it prunes most aggressively when the
+/// certified fault set is small).
 #[derive(Default)]
 struct E19Class {
     trials: usize,
@@ -149,8 +148,8 @@ impl E19Class {
 }
 
 /// Runs the E19 head-to-head at BYZ(2,2), cluster size `n`: every trial
-/// drives the plain arena engine and the early-stop + packed-VOTE
-/// engine on identical inputs and asserts bit-identical decisions. The
+/// drives the plain arena engine and the early-stopping engine on
+/// identical inputs and asserts bit-identical decisions. The
 /// optimized engine is rebuilt per trial (the early-stop mask is
 /// per-run state) **outside** the timed region.
 fn run_e19(n: usize, trials: usize, timing: bool, mut rng: SimRng, obs: &mut Obs) -> [E19Class; 2] {
@@ -159,7 +158,6 @@ fn run_e19(n: usize, trials: usize, timing: bool, mut rng: SimRng, obs: &mut Obs
     let params = Params::new(m, m).expect("u = m is valid");
     let inst = ByzInstance::new(n, params, NodeId::new(0)).expect("n >= 3m + 1");
     let baseline = inst.engine();
-    let packed = baseline.clone().with_packed_vote();
 
     // [0] = fault-free trials, [1] = trials with faults.
     let mut classes = [E19Class::default(), E19Class::default()];
@@ -183,7 +181,7 @@ fn run_e19(n: usize, trials: usize, timing: bool, mut rng: SimRng, obs: &mut Obs
                 .claim(path, receiver, truthful)
         };
 
-        let optimized = packed.clone().with_early_stop(&faulty);
+        let optimized = baseline.clone().with_early_stop(&faulty);
         let t0 = Instant::now();
         let base_run = inst.run_engine(&baseline, &sender_value, &faulty, &mut fabricate);
         let t1 = Instant::now();
@@ -334,7 +332,7 @@ fn main() {
         run_cell(cell, trials, timing, rng, obs)
     });
 
-    // E19: early-stop + packed-VOTE head-to-head at the largest swept
+    // E19: early-stop head-to-head at the largest swept
     // BYZ(2,2) cell, capped at the N = 13 reference point. Single cell,
     // run after the sweep on a derived stream — deterministic for any
     // `--workers` value.
@@ -424,7 +422,7 @@ fn main() {
     ));
     if let Some(classes) = &e19 {
         report.add_table(Table::with_rows(
-            "E19: arena engine vs early-stop + packed VOTE at BYZ(2,2)",
+            "E19: arena engine vs early stop at BYZ(2,2)",
             &[
                 "class",
                 "trials",
@@ -472,7 +470,7 @@ fn main() {
     let memo_ok = total.votes_memo_hit > 0;
     let speedup_ok = !timing || max_n < 13 || speedup_n13_m2.map(|s| s >= 1.5).unwrap_or(false);
     // E19 gates (when the cell ran): decisions bit-identical to the
-    // scalar arena engine, fault-free runs actually saved messages, and
+    // plain arena engine, fault-free runs actually saved messages, and
     // — at the N = 13 reference point with timing on — at least 2x
     // faster on the fault-free class (the expected case early stopping
     // targets: with an honest sender at m = 2 no internal path can
@@ -492,7 +490,7 @@ fn main() {
         match speedup_n13_m2 {
             Some(s) if timing => println!(
                 "\nRESULT: engine bit-identical to reference on every trial, \
-                 {memo} memo hits, {s:.2}x at N=13 m=2; E19 early-stop+packed \
+                 {memo} memo hits, {s:.2}x at N=13 m=2; E19 early stop \
                  {ff:.2}x fault-free / {fy:.2}x faulty over the arena engine \
                  ({saved} messages saved, 0 mismatches)",
                 memo = total.votes_memo_hit,

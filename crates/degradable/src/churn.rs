@@ -157,13 +157,14 @@ pub fn run_churn_with<V: Clone + Ord + Hash + Send + Sync>(
         for node in &crashed {
             effective.insert(*node, Strategy::Silent);
         }
-        let (run, ..) = run_batch_observed(
+        let run = run_batch_observed(
             params,
             n,
             &epoch.instances,
             &effective,
             epoch_seed(seed, e),
             1,
+            false,
             |eng| engine_setup(e, eng),
             obs,
         );

@@ -128,25 +128,25 @@ impl PathId {
 /// relayer id — the same lexicographic breadth-first order as
 /// [`crate::paths_of_length`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ArenaNode {
+struct ArenaNode {
     /// Last node on the path (the relayer that appended this label).
-    pub(crate) last: NodeId,
+    last: NodeId,
     /// Parent arena index; `u32::MAX` for the root.
-    pub(crate) parent: u32,
+    parent: u32,
     /// First child arena index (children are contiguous; 0 when none).
-    pub(crate) first_child: u32,
+    first_child: u32,
     /// Number of children (0 at the deepest level).
-    pub(crate) child_count: u32,
+    child_count: u32,
     /// Bitmask of the nodes on the path (`n <= 64` is asserted).
-    pub(crate) members: u64,
+    members: u64,
     /// Path length (1 for the root).
-    pub(crate) len: u8,
+    len: u8,
 }
 
 /// The arena form of [`crate::eig::prunable_path`]: every bit of the
 /// certified fault mask lies on the node's path, and the node's own
 /// relayer is fault-free. Downward-closed over the arena's child edges.
-pub(crate) fn prunable_node(node: &ArenaNode, faulty_mask: u64) -> bool {
+fn prunable_node(node: &ArenaNode, faulty_mask: u64) -> bool {
     faulty_mask & !node.members == 0 && faulty_mask >> node.last.index() & 1 == 0
 }
 
@@ -325,17 +325,6 @@ impl PathArena {
     pub fn ids(&self) -> impl Iterator<Item = PathId> + '_ {
         (0..self.nodes.len() as u32).map(PathId)
     }
-
-    /// The flat node table (crate-internal: the packed resolver walks
-    /// it directly).
-    pub(crate) fn nodes_raw(&self) -> &[ArenaNode] {
-        &self.nodes
-    }
-
-    /// The per-level id ranges (crate-internal).
-    pub(crate) fn levels_raw(&self) -> &[Range<u32>] {
-        &self.levels
-    }
 }
 
 /// Dense slot table `store[σ][receiver]` over a [`PathArena`].
@@ -495,9 +484,6 @@ pub struct EigEngine {
     worker_spans: bool,
     /// Certified fault mask for early stopping; `None` disables it.
     early_stop: Option<u64>,
-    /// Route resolution through the bitpacked VOTE evaluator when the
-    /// value palette fits (falls back to the scalar path otherwise).
-    packed_vote: bool,
 }
 
 impl EigEngine {
@@ -522,7 +508,6 @@ impl EigEngine {
             workers: 1,
             worker_spans: false,
             early_stop: None,
-            packed_vote: false,
         })
     }
 
@@ -584,35 +569,9 @@ impl EigEngine {
         Ok(self)
     }
 
-    /// Whether early stopping is armed (and with which fault mask).
-    pub(crate) fn early_stop_mask(&self) -> Option<u64> {
-        self.early_stop
-    }
-
     /// Whether early stopping is armed.
     pub fn early_stop_enabled(&self) -> bool {
         self.early_stop.is_some()
-    }
-
-    /// Routes resolution through the bitpacked VOTE evaluator: store
-    /// values are interned into a `u8` palette (`0` = `V_d`/absent) and
-    /// votes are counted over packed `u64` words. Falls back to the
-    /// scalar resolver — bit-identically, it is the oracle — when the
-    /// palette overflows 255 distinct values or the rule is not
-    /// [`VoteRule::Degradable`].
-    pub fn with_packed_vote(mut self) -> Self {
-        self.packed_vote = true;
-        self
-    }
-
-    /// Whether the bitpacked VOTE path is armed.
-    pub fn packed_vote_enabled(&self) -> bool {
-        self.packed_vote
-    }
-
-    /// Whether per-chunk spans are recorded (crate-internal).
-    pub(crate) fn worker_spans_enabled(&self) -> bool {
-        self.worker_spans
     }
 
     /// The shared arena.
@@ -624,7 +583,7 @@ impl EigEngine {
     /// arena shape and the armed fault mask: the number of frontier
     /// subtrees cut, and the relay envelopes (one per off-path
     /// receiver of each skipped label) that were never sent.
-    pub(crate) fn prune_counters(&self) -> (u64, u64) {
+    fn prune_counters(&self) -> (u64, u64) {
         let Some(mask) = self.early_stop else {
             return (0, 0);
         };
@@ -778,11 +737,6 @@ impl EigEngine {
         store: &EigStore<V>,
         obs: &mut Obs,
     ) -> EngineRun<V> {
-        if self.packed_vote {
-            if let Some(run) = crate::packed::resolve_packed(self, rule, store, obs) {
-                return run;
-            }
-        }
         let resolve_start = Instant::now();
         // Chunk wall times are only sampled when someone will read them.
         let timed_chunks = obs.is_enabled() && self.worker_spans;
@@ -1504,104 +1458,5 @@ mod tests {
         );
         assert_eq!(run.perf.subtrees_pruned, 0);
         assert_eq!(run.perf.messages_saved, 0);
-    }
-
-    /// Packed VOTE: decisions *and* deterministic counters bit-identical
-    /// to the scalar resolver over random adversaries, with and without
-    /// early stopping, across worker counts.
-    #[test]
-    fn packed_vote_is_bit_identical_to_scalar() {
-        let mut rng = SimRng::seed(0xB17B);
-        for &(n, depth, m) in &[(4usize, 2usize, 1usize), (7, 3, 2), (9, 3, 2)] {
-            let sender = NodeId::new(rng.below(n as u64) as usize);
-            let rule = VoteRule::Degradable { m };
-            for early in [false, true] {
-                for _ in 0..8 {
-                    let (faulty, strategies) = random_adversary(&mut rng, n, m);
-                    let run_with = |packed: bool, workers: usize| {
-                        let mut engine = EigEngine::new(n, sender, depth).with_workers(workers);
-                        if early {
-                            engine = engine.with_early_stop(&faulty);
-                        }
-                        if packed {
-                            engine = engine.with_packed_vote();
-                        }
-                        let mut fab = |path: &Path, r: NodeId, truthful: &Val| {
-                            strategies
-                                .get(&path.last())
-                                .map(|s| s.claim(path, r, truthful))
-                                .unwrap_or(*truthful)
-                        };
-                        engine.run(rule, &Val::Value(7), &faulty, &mut fab)
-                    };
-                    let scalar = run_with(false, 1);
-                    for workers in [1usize, 3] {
-                        let packed = run_with(true, workers);
-                        assert_eq!(
-                            packed.decisions, scalar.decisions,
-                            "n={n} early={early} workers={workers} faulty={faulty:?}"
-                        );
-                        assert_eq!(
-                            packed.perf.deterministic_counters(),
-                            scalar.perf.deterministic_counters(),
-                            "n={n} early={early} workers={workers} faulty={faulty:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Non-`Degradable` rules fall back to the scalar resolver: the
-    /// packed knob must be behaviour-preserving there too.
-    #[test]
-    fn packed_vote_falls_back_on_majority_rule() {
-        let faulty: BTreeSet<NodeId> = [NodeId::new(3)].into();
-        let run_with = |packed: bool| {
-            let mut engine = EigEngine::new(5, NodeId::new(0), 2);
-            if packed {
-                engine = engine.with_packed_vote();
-            }
-            let mut fab = |_: &Path, r: NodeId, _: &Val| Val::Value(r.index() as u64);
-            engine.run(VoteRule::Majority, &Val::Value(7), &faulty, &mut fab)
-        };
-        let scalar = run_with(false);
-        let packed = run_with(true);
-        assert_eq!(packed.decisions, scalar.decisions);
-        assert_eq!(
-            packed.perf.deterministic_counters(),
-            scalar.perf.deterministic_counters()
-        );
-    }
-
-    /// The packed resolver emits the same spans (names, args, logical
-    /// costs) and registry counters as the scalar one: observability
-    /// output is knob-independent after timing scrub.
-    #[test]
-    fn packed_observed_output_matches_scalar() {
-        let run_obs = |packed: bool, early: bool| {
-            let faulty: BTreeSet<NodeId> = [NodeId::new(2)].into();
-            let mut engine = EigEngine::new(5, NodeId::new(0), 3);
-            if early {
-                engine = engine.with_early_stop(&faulty);
-            }
-            if packed {
-                engine = engine.with_packed_vote();
-            }
-            let mut fab = |_: &Path, r: NodeId, _: &Val| Val::Value(r.index() as u64);
-            let mut obs = Obs::enabled();
-            engine.run_observed(
-                VoteRule::Degradable { m: 1 },
-                &Val::Value(7),
-                &faulty,
-                &mut fab,
-                &mut obs,
-            );
-            obs::scrub_timing(&mut obs);
-            obs
-        };
-        for early in [false, true] {
-            assert_eq!(run_obs(true, early), run_obs(false, early), "early={early}");
-        }
     }
 }

@@ -57,7 +57,7 @@
 //! | [`path`] / [`eig`] | relay paths, per-receiver views, reference executor |
 //! | [`engine`] | arena-backed iterative EIG engine (shared-prefix memoization) |
 //! | [`byz`] | [`ByzInstance`] — algorithm BYZ itself |
-//! | [`protocol`] | message-passing BYZ on the `simnet` round engine |
+//! | [`protocol`] | message-passing BYZ on the `simnet` round engine (a one-instance batch) |
 //! | [`service`] | batched agreement: many instances multiplexed over one run |
 //! | [`churn`] | crash/rejoin across epochs of the batched service |
 //! | [`spec`] | executable abstract spec of BYZ + conformance checker |
@@ -87,7 +87,6 @@ pub mod explain;
 pub mod ic;
 pub mod lower_bound;
 pub mod node;
-mod packed;
 pub mod params;
 pub mod path;
 pub mod protocol;
@@ -122,10 +121,9 @@ pub use params::{Params, ParamsError};
 pub use path::{path_count, paths_of_length, Path};
 pub use protocol::{run_protocol, run_protocol_full, run_protocol_with, ByzMsg, ProtocolRun};
 pub use service::{
-    run_batch, run_batch_full, run_batch_observed, run_batch_observed_early_stop,
-    run_batch_reference, run_batch_traced, run_batch_with, try_run_batch, BatchInstance, BatchMsg,
-    BatchRun, BatchTraceEvent, ServiceBatch, ServiceConfig, ServiceError, ServiceState,
-    ServiceStats,
+    run_batch, run_batch_observed, run_batch_reference, run_batch_traced, run_batch_with,
+    BatchInstance, BatchMsg, BatchRun, BatchTraceEvent, ServiceBatch, ServiceConfig, ServiceError,
+    ServiceState, ServiceStats,
 };
 pub use sm::{run_sm, run_sm_honest, SmAdversary, SmRelayAction};
 pub use sparse::{

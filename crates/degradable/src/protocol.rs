@@ -9,20 +9,23 @@
 //! the paper assumes away: authenticated sources, per-round delivery, and
 //! detectable absence.
 //!
-//! Honest nodes validate incoming envelopes: the path must have the
-//! claimed sender as its last element (the engine stamps true sources, so
-//! a faulty node cannot impersonate — assumption (c) of the paper), must
-//! not contain the receiver, and must match the current round's level.
-//! Invalid envelopes are dropped, which maps any protocol-confused faulty
-//! node onto the silent/absent case.
+//! A single execution is a one-instance batch: [`run_protocol_with`]
+//! hands one [`BatchInstance`] to [`crate::service::run_batch_with`], so
+//! the relay rule, the inbox validation (the path must end at the
+//! engine-stamped true source — assumption (c) of the paper — must not
+//! contain the receiver, and must not come from a future round) and the
+//! arena VOTE are the batch service's. Invalid envelopes are dropped,
+//! which maps any protocol-confused faulty node onto the silent/absent
+//! case.
 
 use crate::adversary::Strategy;
 use crate::byz::ByzInstance;
 use crate::conditions::RunRecord;
 use crate::eig::EigView;
 use crate::path::Path;
+use crate::service::{run_batch_traced, run_batch_with, BatchInstance, BatchMsg, BatchRun};
 use crate::value::AgreementValue;
-use simnet::{NodeId, RoundEngine, Topology};
+use simnet::{NodeId, RoundEngine};
 use std::collections::BTreeMap;
 use std::hash::Hash;
 
@@ -34,22 +37,6 @@ pub struct ByzMsg<V> {
     pub path: Path,
     /// The claimed value for that path.
     pub value: AgreementValue<V>,
-}
-
-/// The canonical corruptor for BYZ envelopes under link-level chaos
-/// ([`simnet::LinkFaultKind::Corrupt`]).
-///
-/// The paper's oral-message model assumes a damaged message is
-/// *detectable* — the receiver can tell a garbled envelope from a valid
-/// one (checksums in practice). A detected-garbled envelope carries no
-/// usable claim, so it must read as **absent**, folding to `V_d` like any
-/// other missing message. Mapping every corrupted envelope to `None`
-/// implements exactly that; it matches the engine's default when no
-/// corruptor is installed, but states the protocol's intent at the call
-/// site.
-pub fn corruption_as_absence<V>() -> impl FnMut(&ByzMsg<V>, &mut simnet::SimRng) -> Option<ByzMsg<V>>
-{
-    |_msg, _rng| None
 }
 
 /// Result of one message-passing execution.
@@ -78,6 +65,30 @@ impl<V: Clone + Ord> ProtocolRun<V> {
             decisions: self.decisions.clone(),
         }
     }
+
+    /// Unpacks the single instance of a one-instance batch.
+    fn from_batch(run: BatchRun<V>) -> Self {
+        let decisions = run
+            .decisions
+            .into_iter()
+            .next()
+            .expect("a one-instance batch decides one instance");
+        ProtocolRun {
+            decisions,
+            net: run.net,
+        }
+    }
+}
+
+/// The batch form of one execution.
+fn one_instance<V: Clone>(
+    instance: &ByzInstance,
+    sender_value: &AgreementValue<V>,
+) -> [BatchInstance<V>; 1] {
+    [BatchInstance {
+        sender: instance.sender(),
+        value: sender_value.clone(),
+    }]
 }
 
 /// Runs BYZ as a real message-passing protocol on a fully connected
@@ -103,9 +114,16 @@ pub fn run_protocol_with<V: Clone + Ord + Hash + Send + Sync>(
     sender_value: &AgreementValue<V>,
     strategies: &BTreeMap<NodeId, Strategy<V>>,
     seed: u64,
-    engine_setup: impl FnOnce(RoundEngine<ByzMsg<V>>) -> RoundEngine<ByzMsg<V>>,
+    engine_setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
 ) -> ProtocolRun<V> {
-    run_protocol_inner(instance, sender_value, strategies, seed, engine_setup).0
+    ProtocolRun::from_batch(run_batch_with(
+        instance.params(),
+        instance.n(),
+        &one_instance(instance, sender_value),
+        strategies,
+        seed,
+        engine_setup,
+    ))
 }
 
 /// Like [`run_protocol_with`], additionally materializing every
@@ -119,155 +137,23 @@ pub fn run_protocol_full<V: Clone + Ord + Hash + Send + Sync>(
     sender_value: &AgreementValue<V>,
     strategies: &BTreeMap<NodeId, Strategy<V>>,
     seed: u64,
-    engine_setup: impl FnOnce(RoundEngine<ByzMsg<V>>) -> RoundEngine<ByzMsg<V>>,
+    engine_setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
 ) -> (ProtocolRun<V>, BTreeMap<NodeId, EigView<V>>) {
-    let (run, eig, store) =
-        run_protocol_inner(instance, sender_value, strategies, seed, engine_setup);
-    let n = instance.n();
-    let sender = instance.sender();
-    let depth = instance.depth();
-    let arena = eig.arena();
-    let mut views = BTreeMap::new();
-    for r in NodeId::all(n) {
-        if r == sender {
-            continue;
-        }
-        let mut view = EigView::new(n, depth, r);
-        for (id, v) in store.column(r) {
-            view.record(arena.resolve_path(id), v.clone());
-        }
-        views.insert(r, view);
-    }
-    (run, views)
-}
-
-fn run_protocol_inner<V: Clone + Ord + Hash + Send + Sync>(
-    instance: &ByzInstance,
-    sender_value: &AgreementValue<V>,
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
-    engine_setup: impl FnOnce(RoundEngine<ByzMsg<V>>) -> RoundEngine<ByzMsg<V>>,
-) -> (
-    ProtocolRun<V>,
-    crate::engine::EigEngine,
-    crate::engine::EigStore<V>,
-) {
-    let n = instance.n();
-    let sender = instance.sender();
-    let depth = instance.depth();
-    let mut engine = engine_setup(RoundEngine::new(Topology::complete(n), seed));
-
-    // One shared slot table for *all* nodes: node `i`'s local view is
-    // column `i` of the store, so the final fold is a single arena
-    // resolution covering every receiver at once instead of `n - 1`
-    // recursive folds.
-    let eig_engine = instance.engine();
-    let mut store = crate::engine::EigStore::new(eig_engine.arena());
-
-    // Sending a fabricated (or truthful) value to one receiver; Silent
-    // strategies suppress the message entirely.
-    let claim_for = |me: NodeId,
-                     child: &Path,
-                     receiver: NodeId,
-                     truthful: &AgreementValue<V>|
-     -> Option<AgreementValue<V>> {
-        match strategies.get(&me) {
-            None => Some(truthful.clone()),
-            Some(Strategy::Silent) => None,
-            Some(s) => Some(s.claim(child, receiver, truthful)),
-        }
-    };
-
-    let fill_start = std::time::Instant::now();
-    let mut net = engine.run_with(depth + 1, |i, ctx| {
-        let me = NodeId::new(i);
-        let round = ctx.round();
-        // 1. Record this round's deliveries (level = round).
-        let mut to_relay: Vec<(Path, AgreementValue<V>)> = Vec::new();
-        if round >= 1 {
-            for (src, msg) in ctx.inbox().to_vec() {
-                // A path of level `< round` is an envelope the network
-                // delivered late (link reordering): its relay slot has
-                // passed, but the direct observation is still genuine, so
-                // it folds into the view. Anything else malformed —
-                // impersonated or self-referential paths, or paths from a
-                // future level — is dropped (treated as absent).
-                let valid = msg.path.len() <= round
-                    && !msg.path.is_empty()
-                    && msg.path.last() == src
-                    && !msg.path.contains(me);
-                if !valid {
-                    continue; // malformed claim: treated as absent
-                }
-                // Only sender-rooted repetition-free labels intern; the
-                // resolution never reads anything else, so non-interning
-                // paths read as absent exactly as before.
-                let Some(id) = eig_engine.arena().intern(&msg.path) else {
-                    continue;
-                };
-                let on_time = msg.path.len() == round;
-                // First write wins: duplicated envelopes (link-level
-                // duplication, or a late copy overtaken by chaos) are
-                // discarded by the idempotent fold.
-                let fresh = store.record(eig_engine.arena(), id, me, msg.value.clone());
-                if fresh && on_time && round < depth {
-                    to_relay.push((msg.path, msg.value));
-                }
-            }
-        }
-        // 2. Send this round's messages.
-        if round == 0 {
-            if me == sender {
-                let root = Path::root(sender);
-                for r in NodeId::all(n) {
-                    if r == sender {
-                        continue;
-                    }
-                    if let Some(v) = claim_for(me, &root, r, sender_value) {
-                        ctx.send(
-                            r,
-                            ByzMsg {
-                                path: root.clone(),
-                                value: v,
-                            },
-                        );
-                    }
-                }
-            }
-        } else {
-            for (path, value) in to_relay {
-                let child = path.child(me);
-                for r in NodeId::all(n) {
-                    if child.contains(r) {
-                        continue;
-                    }
-                    if let Some(v) = claim_for(me, &child, r, &value) {
-                        ctx.send(
-                            r,
-                            ByzMsg {
-                                path: child.clone(),
-                                value: v,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    });
-
-    let fill_nanos = fill_start.elapsed().as_nanos() as u64;
-
-    let resolved = eig_engine.resolve(instance.rule(), &store);
-    net.eig = resolved.perf;
-    net.eig.fill_nanos = fill_nanos;
-    (
-        ProtocolRun {
-            decisions: resolved.decisions,
-            net,
-        },
-        eig_engine,
-        store,
-    )
+    let (run, views) = run_batch_traced(
+        instance.params(),
+        instance.n(),
+        &one_instance(instance, sender_value),
+        strategies,
+        seed,
+        false,
+        engine_setup,
+        &mut |_| {},
+    );
+    let views = views
+        .into_iter()
+        .next()
+        .expect("a one-instance batch has one view set");
+    (ProtocolRun::from_batch(run), views)
 }
 
 #[cfg(test)]
@@ -447,22 +333,6 @@ mod tests {
         });
         assert!(run.net.dropped_corrupt > 0);
         assert!(run.decisions.values().all(|v| *v == Val::Default));
-    }
-
-    #[test]
-    fn corruption_as_absence_matches_engine_default() {
-        let inst = instance(5, 1, 2);
-        let plan = full_chaos_plan(5, simnet::LinkFaultKind::Corrupt { p: 0.4 });
-        let implicit = run_protocol_with(&inst, &Val::Value(7), &BTreeMap::new(), 3, {
-            let plan = plan.clone();
-            |e| e.with_link_faults(plan)
-        });
-        let explicit = run_protocol_with(&inst, &Val::Value(7), &BTreeMap::new(), 3, |e| {
-            e.with_link_faults(plan)
-                .with_corruptor(corruption_as_absence())
-        });
-        assert_eq!(implicit.decisions, explicit.decisions);
-        assert_eq!(implicit.net.dropped_corrupt, explicit.net.dropped_corrupt);
     }
 
     #[test]

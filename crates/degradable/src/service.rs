@@ -22,25 +22,29 @@
 //! same Byzantine node misbehaves everywhere), which matches the fault
 //! model: `f` counts *nodes*, not (node, instance) pairs.
 //!
-//! Inbox validation mirrors [`crate::protocol`] — and adds one batch-only
-//! check: the envelope's path root must be the claimed instance's sender.
-//! Without it a Byzantine relayer can *re-tag* a genuine envelope with a
-//! different instance id (cross-instance spoofing); the resolution never
-//! reads foreign-rooted slots, but honest nodes would still relay the
-//! spoof and amplify it. Rejected spoofs are counted in
-//! [`BatchRun::spoofs_rejected`].
+//! This is the only in-process BYZ relay and arena VOTE: a single
+//! execution ([`crate::protocol::run_protocol`]) is a one-instance batch.
+//! Inbox validation drops envelopes whose path does not end at the
+//! engine-stamped source, contains the receiver, or comes from a future
+//! round — and checks that the envelope's path root is the claimed
+//! instance's sender. Without that last check a Byzantine relayer can
+//! *re-tag* a genuine envelope with a different instance id
+//! (cross-instance spoofing); the resolution never reads foreign-rooted
+//! slots, but honest nodes would still relay the spoof and amplify it.
+//! Rejected spoofs are counted in [`BatchRun::spoofs_rejected`].
 //!
-//! Link-level chaos plans install through [`run_batch_with`] exactly as
-//! for [`crate::protocol::run_protocol_with`]: duplicated envelopes fold
-//! idempotently (first write per (instance, path, receiver) slot wins,
-//! mirroring the per-path-index dedup of [`crate::sparse`]), reordered
-//! envelopes that arrive late still fold as direct observations but are
-//! never relayed, and corruption reads as absence (oral-message axiom).
+//! Link-level chaos plans install through [`run_batch_with`] (and
+//! [`crate::protocol::run_protocol_with`], its one-instance form):
+//! duplicated envelopes fold idempotently (first write per (instance,
+//! path, receiver) slot wins, mirroring the per-path-index dedup of
+//! [`crate::sparse`]), reordered envelopes that arrive late still fold
+//! as direct observations but are never relayed, and corruption reads
+//! as absence (oral-message axiom).
 //!
 //! Integration tests assert that a batch is decision-identical to running
-//! the same instances one at a time — multiplexing is purely a transport
-//! optimization: one engine run instead of `K`, with the same total
-//! message count. [`run_batch_reference`] preserves the legacy
+//! the same instances one at a time and to [`crate::reference_eval`] —
+//! multiplexing is purely a transport optimization: one engine run
+//! instead of `K`, with the same total message count. [`run_batch_reference`] preserves the legacy
 //! per-(receiver, instance) `EigView` executor verbatim as the
 //! differential oracle and the one-at-a-time fold baseline measured by
 //! experiment E16 (`bench/src/bin/batch_throughput.rs`).
@@ -66,9 +70,11 @@ pub const SVC_MSG_BOUNDS: &[u64] = &[8, 32, 128, 512, 2048, 8192, 32768, 131_072
 pub const SVC_LOGICAL_BOUNDS: &[u64] = &[16, 64, 256, 1024, 4096, 16384, 65536, 262_144, 1_048_576];
 
 /// Bucket bounds for the per-instance wall-latency histogram
-/// (`svc.instance.wall_ns`), 1µs to 10s. The name contains `wall`, so
-/// [`obs::ScrubTiming`] on the registry removes it under `--no-timing` —
-/// wall latency is carried for humans, never compared.
+/// (`svc.instance.wall_ns`: the instance's resolve share only — the
+/// batch-shared fill is the `batch.fill` span), 1µs to 10s. The name
+/// contains `wall`, so [`obs::ScrubTiming`] on the registry removes it
+/// under `--no-timing` — wall latency is carried for humans, never
+/// compared.
 pub const SVC_WALL_BOUNDS: &[u64] = &[
     1_000,
     10_000,
@@ -222,37 +228,10 @@ pub fn run_batch_with<V: Clone + Ord + Hash + Send + Sync>(
         strategies,
         seed,
         1,
+        false,
         engine_setup,
         &mut Obs::disabled(),
     )
-    .0
-}
-
-/// Like [`run_batch_with`], additionally materializing every receiver's
-/// [`EigView`] per instance from the shared stores, so differential
-/// tests can re-resolve the exact same observations through
-/// [`EigView::resolve`] and compare against the arena fold
-/// (`tests/batch_equivalence.rs` does this under chaos plans).
-pub fn run_batch_full<V: Clone + Ord + Hash + Send + Sync>(
-    params: Params,
-    n: usize,
-    instances: &[BatchInstance<V>],
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
-    engine_setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
-) -> (BatchRun<V>, Vec<BTreeMap<NodeId, EigView<V>>>) {
-    let (run, engines, engine_idx, stores) = run_batch_observed(
-        params,
-        n,
-        instances,
-        strategies,
-        seed,
-        1,
-        engine_setup,
-        &mut Obs::disabled(),
-    );
-    let views = materialize_views(params, n, instances, &engines, &engine_idx, &stores);
-    (run, views)
 }
 
 /// Rebuilds every receiver's per-instance [`EigView`] from the shared
@@ -285,12 +264,18 @@ fn materialize_views<V: Clone + Ord>(
         .collect()
 }
 
-/// [`run_batch_full`] with conformance hooks: optional certified-fault-set
+/// [`run_batch_with`] with conformance hooks: optional certified-fault-set
 /// early stopping (armed against the strategy key set, mirroring
 /// [`crate::NodeStateMachine::with_early_stop`]) and a trace callback
 /// receiving one [`BatchTraceEvent`] per delivery and per
 /// instance × node × round close — everything a per-instance
 /// `SpecChecker` replay needs.
+///
+/// Also materializes every receiver's [`EigView`] per instance from the
+/// shared stores, so differential tests can re-resolve the exact same
+/// observations through [`EigView::resolve`] and compare against the
+/// arena fold (`tests/batch_equivalence.rs` does this under chaos
+/// plans).
 #[allow(clippy::too_many_arguments)]
 pub fn run_batch_traced<V: Clone + Ord + Hash + Send + Sync>(
     params: Params,
@@ -321,18 +306,17 @@ pub fn run_batch_traced<V: Clone + Ord + Hash + Send + Sync>(
 /// The observed core of the batch service: one multiplexed
 /// [`RoundEngine`] run fills one [`EigStore`] per instance, then each
 /// instance resolves bottom-up (with `workers` resolution threads)
-/// through its sender's shared arena.
+/// through its sender's shared arena. With `early_stop`,
+/// certified-fault-set early stopping is armed (as in
+/// [`run_batch_traced`]), so the `svc.early_stop.*` counters attribute
+/// actual savings instead of recording zeros.
 ///
 /// Records a `batch.fill` span over the engine run (logical cost = slots
 /// materialized across all instances), one `batch.resolve` span per
 /// instance (logical cost = votes settled), and `batch.*` registry
 /// counters, plus the aggregated `eig.*` counters. With a disabled
-/// recorder this is exactly [`run_batch_with`].
-///
-/// Returns the run plus the engines, the instance→engine index map, and
-/// the per-instance stores (so [`run_batch_full`] can materialize
-/// per-receiver views without re-executing).
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+/// recorder and `early_stop` off this is exactly [`run_batch_with`].
+#[allow(clippy::too_many_arguments)]
 pub fn run_batch_observed<V: Clone + Ord + Hash + Send + Sync>(
     params: Params,
     n: usize,
@@ -340,9 +324,10 @@ pub fn run_batch_observed<V: Clone + Ord + Hash + Send + Sync>(
     strategies: &BTreeMap<NodeId, Strategy<V>>,
     seed: u64,
     workers: usize,
+    early_stop: bool,
     engine_setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
     obs: &mut Obs,
-) -> (BatchRun<V>, Vec<EigEngine>, Vec<usize>, Vec<EigStore<V>>) {
+) -> BatchRun<V> {
     run_batch_core(
         params,
         n,
@@ -350,42 +335,19 @@ pub fn run_batch_observed<V: Clone + Ord + Hash + Send + Sync>(
         strategies,
         seed,
         workers,
-        false,
+        early_stop,
         None,
         engine_setup,
         obs,
     )
+    .0
 }
 
-/// [`run_batch_observed`] with certified-fault-set early stopping armed
-/// (the [`run_batch_traced`] hook), so observed runs attribute actual
-/// early-stop savings through the `svc.early_stop.*` counters instead
-/// of recording zeros.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn run_batch_observed_early_stop<V: Clone + Ord + Hash + Send + Sync>(
-    params: Params,
-    n: usize,
-    instances: &[BatchInstance<V>],
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
-    workers: usize,
-    engine_setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
-    obs: &mut Obs,
-) -> (BatchRun<V>, Vec<EigEngine>, Vec<usize>, Vec<EigStore<V>>) {
-    run_batch_core(
-        params,
-        n,
-        instances,
-        strategies,
-        seed,
-        workers,
-        true,
-        None,
-        engine_setup,
-        obs,
-    )
-}
-
+/// The one-shot batch execution: fresh engines (one per distinct sender)
+/// and fresh stores, filled and resolved by [`fill_and_resolve`].
+/// Returns the run plus the engines, the instance→engine index map, and
+/// the per-instance stores (so [`run_batch_traced`] can materialize
+/// per-receiver views without re-executing).
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn run_batch_core<V: Clone + Ord + Hash + Send + Sync>(
     params: Params,
@@ -482,7 +444,7 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
     let mut spoofs_rejected = 0u64;
     // Per-instance protocol sends, accumulated during the fill so the
-    // end-to-end histograms below can attribute network cost to the
+    // per-instance histograms below can attribute network cost to the
     // instance that incurred it.
     let mut inst_sent: Vec<u64> = vec![0; instances.len()];
 
@@ -707,10 +669,10 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
             wall_nanos: wall_k,
         });
 
-        // End-to-end attribution for instance `k`: ingest (fill sends) to
-        // decision (resolve), as message count, deterministic logical
-        // cost, and wall latency (resolve share; the fill is batch-shared
-        // and reported by the `batch.fill` span).
+        // Attribution for instance `k`: its fill sends as message count,
+        // its resolve as deterministic logical cost and wall latency
+        // (resolve share only; the fill is batch-shared and reported by
+        // the `batch.fill` span).
         obs.observe("svc.instance.messages", SVC_MSG_BOUNDS, inst_sent[k]);
         obs.observe("svc.instance.logical", SVC_LOGICAL_BOUNDS, logical_k);
         obs.observe("svc.instance.wall_ns", SVC_WALL_BOUNDS, wall_k);
@@ -872,30 +834,6 @@ pub fn run_batch_reference<V: Clone + Ord + Hash>(
     }
 }
 
-/// Fallible form of [`run_batch`]: the bounds [`run_batch`] asserts on
-/// — the node bound `n >= 2m + u + 1`, the 64-node engine ceiling, and
-/// per-instance sender range — are validated up front and come back as
-/// [`ServiceError`] values instead of panics. An empty batch (K = 0) is
-/// a valid, trivial batch, not an error.
-pub fn try_run_batch<V: Clone + Ord + Hash + Send + Sync>(
-    params: Params,
-    n: usize,
-    instances: &[BatchInstance<V>],
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
-) -> Result<BatchRun<V>, ServiceError> {
-    check_service_bounds(params, n)?;
-    for inst in instances {
-        if inst.sender.index() >= n {
-            return Err(ServiceError::SenderOutOfRange {
-                sender: inst.sender,
-                n,
-            });
-        }
-    }
-    Ok(run_batch(params, n, instances, strategies, seed))
-}
-
 fn check_service_bounds(params: Params, n: usize) -> Result<(), ServiceError> {
     if !params.admits(n) {
         return Err(ServiceError::NodeBound {
@@ -916,10 +854,9 @@ fn check_service_bounds(params: Params, n: usize) -> Result<(), ServiceError> {
 /// 10k-in-flight scale the service bench drives.
 pub const SVC_QUEUE_BOUNDS: &[u64] = &[1, 4, 16, 64, 256, 1024, 4096, 16384, 65536];
 
-/// Typed failures of the persistent agreement service (and of
-/// [`try_run_batch`]). Everything a caller can provoke with bad or
-/// excessive input is a value here, never a panic: panics in this
-/// module are reserved for internal invariants.
+/// Typed failures of the persistent agreement service. Everything a
+/// caller can provoke with bad or excessive input is a value here, never
+/// a panic: panics in this module are reserved for internal invariants.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
     /// The bounded ingestion queue is at capacity. The instance was
@@ -1342,6 +1279,29 @@ mod tests {
         ]
     }
 
+    /// The independent oracle: [`crate::reference_eval`] on the 5-node
+    /// shape, with the faulty relayers' claims drawn from the same
+    /// strategies through [`Strategy::claim`].
+    fn reference_decisions(
+        inst: &BatchInstance<u64>,
+        strategies: &BTreeMap<NodeId, Strategy<u64>>,
+    ) -> BTreeMap<NodeId, Val> {
+        let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
+        let mut fabricate = |path: &Path, r: NodeId, truthful: &Val| {
+            strategies[&path.last()].claim(path, r, truthful)
+        };
+        crate::reference_eval(
+            5,
+            inst.sender,
+            params().rounds(),
+            crate::eig::VoteRule::Degradable { m: params().m() },
+            &inst.value,
+            &faulty,
+            &mut fabricate,
+        )
+        .decisions
+    }
+
     #[test]
     fn batch_matches_sequential_runs() {
         let strategies = lying_strategies();
@@ -1351,6 +1311,11 @@ mod tests {
             let single = ByzInstance::new(5, params(), inst.sender).unwrap();
             let solo = run_protocol(&single, &inst.value, &strategies, 1);
             assert_eq!(batch.decisions[i], solo.decisions, "instance {i}");
+            assert_eq!(
+                batch.decisions[i],
+                reference_decisions(inst, &strategies),
+                "instance {i} vs reference_eval"
+            );
         }
         assert_eq!(batch.spoofs_rejected, 0);
     }
@@ -1433,6 +1398,11 @@ mod tests {
             let single = ByzInstance::new(5, params(), inst.sender).unwrap();
             let solo = run_protocol(&single, &inst.value, &strategies, 3);
             assert_eq!(batch.decisions[k], solo.decisions, "slot {k}");
+            assert_eq!(
+                batch.decisions[k],
+                reference_decisions(inst, &strategies),
+                "slot {k} vs reference_eval"
+            );
         }
     }
 
@@ -1521,13 +1491,14 @@ mod tests {
     fn observed_batch_records_spans_and_counters() {
         let mut obs = Obs::enabled();
         let instances = mixed_instances();
-        let (run, ..) = run_batch_observed(
+        let run = run_batch_observed(
             params(),
             5,
             &instances,
             &lying_strategies(),
             1,
             2,
+            false,
             |e| e,
             &mut obs,
         );
@@ -1564,21 +1535,22 @@ mod tests {
     fn observed_batch_attributes_latency_per_instance_and_regime() {
         let mut obs = Obs::enabled();
         let instances = mixed_instances();
-        let (run, ..) = run_batch_observed(
+        let run = run_batch_observed(
             params(),
             5,
             &instances,
             &lying_strategies(),
             1,
             1,
+            false,
             |e| e,
             &mut obs,
         );
         let reg = obs.registry();
 
-        // Per-instance end-to-end histograms: one observation per
-        // instance; total messages equal the engine's send count, and
-        // total logical cost equals the summed resolve work.
+        // Per-instance histograms: one observation per instance; total
+        // messages equal the engine's send count, and total logical cost
+        // equals the summed resolve work.
         let msgs = reg.histogram("svc.instance.messages").unwrap();
         assert_eq!(msgs.count(), instances.len() as u64);
         assert_eq!(msgs.sum(), run.net.sent as u64);
@@ -1604,7 +1576,7 @@ mod tests {
         // A fault-free batch lands on the full side of the boundary and
         // credits its early-stop savings.
         let mut obs_full = Obs::enabled();
-        let (run_full, ..) = run_batch_core(
+        let run_full = run_batch_observed(
             params(),
             5,
             &instances,
@@ -1612,7 +1584,6 @@ mod tests {
             1,
             1,
             true,
-            None,
             |e| e,
             &mut obs_full,
         );
@@ -1899,34 +1870,6 @@ mod tests {
         assert!(batch.run.decisions.is_empty());
         assert_eq!(svc.stats().batches, 1);
         assert_eq!(svc.stats().decided, 0);
-    }
-
-    #[test]
-    fn try_run_batch_covers_every_degenerate_input() {
-        let strategies: BTreeMap<NodeId, Strategy<u64>> = BTreeMap::new();
-        // Empty batch (K = 0) is a valid, trivial batch.
-        let empty = try_run_batch(params(), 5, &[], &strategies, 1).unwrap();
-        assert!(empty.decisions.is_empty());
-        // Node bound and sender range come back typed, not as panics.
-        assert_eq!(
-            try_run_batch(params(), 4, &[], &strategies, 1).err(),
-            Some(ServiceError::NodeBound { n: 4, min_nodes: 5 })
-        );
-        assert_eq!(
-            try_run_batch(params(), 5, &[inst(9, 1)], &strategies, 1).err(),
-            Some(ServiceError::SenderOutOfRange { sender: n(9), n: 5 })
-        );
-        assert!(matches!(
-            try_run_batch(params(), 70, &[], &strategies, 1),
-            Err(ServiceError::Engine(
-                crate::engine::EngineError::TooManyNodes { n: 70 }
-            ))
-        ));
-        // The happy path is exactly run_batch.
-        let instances = mixed_instances();
-        let fallible = try_run_batch(params(), 5, &instances, &lying_strategies(), 3).unwrap();
-        let oracle = run_batch(params(), 5, &instances, &lying_strategies(), 3);
-        assert_eq!(fallible.decisions, oracle.decisions);
     }
 
     /// The 95%-after-warmup gate of the service bench, in miniature:

@@ -144,68 +144,4 @@ proptest! {
             shuffled.perf.deterministic_counters()
         );
     }
-
-    /// The bitpacked VOTE evaluator is a drop-in for the scalar
-    /// resolver: the same store yields bit-identical decisions AND
-    /// bit-identical deterministic counters. The draw space crosses the
-    /// packed word boundary (n − 1 receiver codes span one u64 lane at
-    /// n = 9) and flavors force the interesting columns — all-absent
-    /// words (code 0 throughout), uniform n−1 columns sitting exactly
-    /// on the vote threshold, and a high-cardinality palette that
-    /// overflows u8 interning and must fall back to the scalar oracle.
-    #[test]
-    fn packed_vote_matches_scalar_resolve(
-        n in 2usize..18,
-        depth in 2usize..4,
-        value_seed in 0u64..u64::MAX,
-        flavor in 0usize..3,
-    ) {
-        let sender = NodeId::new(0);
-        // Clamp to the feasible BYZ range (n > path_len + m throughout).
-        let depth = depth.min(n.div_ceil(2)).max(1);
-        let engine = EigEngine::new(n, sender, depth);
-        let packed_engine = engine.clone().with_packed_vote();
-        let arena = engine.arena();
-        let rule = VoteRule::Degradable { m: depth - 1 };
-
-        let mut rng = SimRng::seed(value_seed);
-        let mut store = EigStore::new(arena);
-        for id in arena.ids() {
-            // Per-node column shape: 0 = mixed small palette (near-tie
-            // votes), 1 = degenerate columns (all-absent or uniform),
-            // 2 = high-cardinality values (palette overflow on larger
-            // stores).
-            let degenerate = if flavor == 1 {
-                match rng.below(3) {
-                    0 => Some(Val::Default),
-                    1 => Some(Val::Value(rng.below(4) + 1)),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            for r in NodeId::all(n) {
-                if arena.on_path(id, r) {
-                    continue;
-                }
-                let value = match (&degenerate, flavor) {
-                    (Some(v), _) => *v,
-                    (None, 2) => Val::Value(rng.below(1 << 32)),
-                    _ => match rng.below(4) {
-                        0 => Val::Default,
-                        v => Val::Value(v),
-                    },
-                };
-                prop_assert!(store.record(arena, id, r, value));
-            }
-        }
-
-        let scalar = engine.resolve(rule, &store);
-        let packed = packed_engine.resolve(rule, &store);
-        prop_assert_eq!(&scalar.decisions, &packed.decisions);
-        prop_assert_eq!(
-            scalar.perf.deterministic_counters(),
-            packed.perf.deterministic_counters()
-        );
-    }
 }

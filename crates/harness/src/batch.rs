@@ -19,7 +19,7 @@
 //! the two draw the shared link RNG in different orders, so identity is
 //! instead asserted between the batch arena fold and per-receiver
 //! [`degradable::EigView`] folds of the same observations
-//! (`degradable::run_batch_full`).
+//! (`degradable::run_batch_traced`).
 
 use crate::scenario::{Scenario, ScenarioError};
 use degradable::{
@@ -114,13 +114,14 @@ impl BatchScenario {
         self.validate()?;
         let params = self.base.params()?;
         let plan = self.base.effective_link_plan();
-        let (run, ..) = run_batch_observed(
+        let run = run_batch_observed(
             params,
             self.base.n,
             &self.instances(),
             &self.base.strategies,
             self.base.master_seed,
             workers,
+            false,
             |e| match plan {
                 Some(plan) => e.with_link_faults(plan),
                 None => e,

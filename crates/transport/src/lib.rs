@@ -168,8 +168,8 @@ impl FromStr for TransportKind {
 
 /// Traffic counters, comparable across backends.
 ///
-/// Every field except [`false_timeouts`](Self::false_timeouts) and
-/// [`lost`](Self::lost) is fully determined by the scenario and the
+/// Every field except [`false_timeouts`](Self::false_timeouts),
+/// [`lost`](Self::lost) and [`forged`](Self::forged) is fully determined by the scenario and the
 /// message-keyed chaos layer, so differential tests assert
 /// [`TransportStats::chaos_signature`] equality across sim, channel, and
 /// TCP runs. `false_timeouts` is backend-specific by nature (injected skew
@@ -197,6 +197,10 @@ pub struct TransportStats {
     /// clock skew in the simulator (§6 relaxed detection), real wall-clock
     /// deadline expiry on a mesh.
     pub false_timeouts: u64,
+    /// Frames dropped at a TCP reader because their `src` was not the
+    /// peer id the connection's handshake named — a peer speaking as
+    /// another node. Always 0 on the sim and channel backends.
+    pub forged: u64,
 }
 
 impl TransportStats {
@@ -211,6 +215,7 @@ impl TransportStats {
         self.delayed += other.delayed;
         self.lost += other.lost;
         self.false_timeouts += other.false_timeouts;
+        self.forged += other.forged;
     }
 
     /// The counters determined purely by the scenario and the keyed chaos

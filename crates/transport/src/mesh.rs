@@ -30,6 +30,12 @@
 //! gate also holds back genuinely early traffic from peers that are a
 //! round ahead, which the state machine would otherwise discard as
 //! coming from the future.
+//!
+//! The receiver knows the sender (assumption (c)): every TCP connection
+//! opens with the dialer's node id, and the reader thread for that
+//! connection drops — and counts in [`TransportStats::forged`] — every
+//! frame whose `src` names anyone else, so a Byzantine peer cannot speak
+//! as an honest node.
 
 use crate::chaos::LinkChaos;
 use crate::frame::{self, Frame, MAX_FRAME_LEN};
@@ -40,7 +46,7 @@ use simnet::NodeId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -94,6 +100,34 @@ pub fn reconnect_delay(base: Duration, attempt: u32) -> Duration {
         .min(RECONNECT_DELAY_CAP)
 }
 
+/// What every TCP reader thread of one endpoint shares: the endpoint's
+/// inbox, its stop flag, and the count of forged frames dropped.
+#[derive(Clone)]
+struct Readers {
+    tx: Sender<Frame>,
+    /// Tells this endpoint's TCP reader threads to exit.
+    stop: Arc<AtomicBool>,
+    /// Frames whose `src` was not their connection's handshake peer.
+    forged: Arc<AtomicU64>,
+}
+
+impl Readers {
+    fn new(tx: Sender<Frame>) -> Self {
+        Readers {
+            tx,
+            stop: Arc::new(AtomicBool::new(false)),
+            forged: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// Starts the reader thread of a connection whose id handshake
+    /// named `peer`.
+    fn spawn(&self, stream: TcpStream, peer: NodeId) {
+        let readers = self.clone();
+        thread::spawn(move || reader_loop(stream, peer, readers));
+    }
+}
+
 /// Redial material for links this endpoint originally dialed.
 struct Redial {
     addr: SocketAddr,
@@ -125,15 +159,15 @@ enum SendStatus {
 }
 
 impl PeerLink {
-    /// Sends `frame`, attempting a bounded reconnect on broken TCP links.
-    /// Channel links have no reconnect path: a closed channel means the
-    /// peer thread is gone for good.
+    /// Sends `frame` to `peer`, attempting a bounded reconnect on broken
+    /// TCP links. Channel links have no reconnect path: a closed channel
+    /// means the peer thread is gone for good.
     fn send(
         &mut self,
+        peer: NodeId,
         frame: &Frame,
         config: &MeshConfig,
-        inbox_tx: &Sender<Frame>,
-        stop: &Arc<AtomicBool>,
+        readers: &Readers,
     ) -> SendStatus {
         match self {
             PeerLink::Channel(tx) => match tx.send(frame.clone()) {
@@ -164,9 +198,7 @@ impl PeerLink {
                     if frame::write_frame(&mut s, frame).is_err() {
                         continue;
                     }
-                    let tx = inbox_tx.clone();
-                    let stop = Arc::clone(stop);
-                    thread::spawn(move || reader_loop(reader, tx, stop));
+                    readers.spawn(reader, peer);
                     *stream = s;
                     return SendStatus::Reconnected;
                 }
@@ -188,9 +220,10 @@ pub struct MeshTransport {
     chaos: LinkChaos,
     links: BTreeMap<NodeId, PeerLink>,
     inbox: Receiver<Frame>,
-    /// Sender half of `inbox`, handed to reader threads spawned for
-    /// reconnected links.
-    inbox_tx: Sender<Frame>,
+    /// Shared with reader threads: the sender half of `inbox` (handed to
+    /// readers spawned for reconnected links), the stop flag, and the
+    /// forged-frame count.
+    readers: Readers,
     /// Replacement write-streams from peers that re-dialed us.
     replacements: Replacements,
     config: MeshConfig,
@@ -214,8 +247,6 @@ pub struct MeshTransport {
     /// Set when every peer is permanently gone: the clean-error surface.
     failure: Option<String>,
     stats: TransportStats,
-    /// Tells this endpoint's TCP reader threads to exit.
-    stop: Arc<AtomicBool>,
 }
 
 impl MeshTransport {
@@ -227,10 +258,9 @@ impl MeshTransport {
         chaos: LinkChaos,
         links: BTreeMap<NodeId, PeerLink>,
         inbox: Receiver<Frame>,
-        inbox_tx: Sender<Frame>,
+        readers: Readers,
         replacements: Replacements,
         config: MeshConfig,
-        stop: Arc<AtomicBool>,
     ) -> Self {
         MeshTransport {
             me,
@@ -239,7 +269,7 @@ impl MeshTransport {
             chaos,
             links,
             inbox,
-            inbox_tx,
+            readers,
             replacements,
             config,
             round: 0,
@@ -254,7 +284,6 @@ impl MeshTransport {
             reconnects: 0,
             failure: None,
             stats: TransportStats::default(),
-            stop,
         }
     }
 
@@ -300,7 +329,7 @@ impl MeshTransport {
         let Some(link) = self.links.get_mut(&to) else {
             return;
         };
-        match link.send(frame, &self.config, &self.inbox_tx, &self.stop) {
+        match link.send(to, frame, &self.config, &self.readers) {
             SendStatus::Sent => {}
             SendStatus::Reconnected => self.reconnects += 1,
             SendStatus::Gone => {
@@ -492,13 +521,16 @@ impl Transport for MeshTransport {
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        TransportStats {
+            forged: self.readers.forged.load(Ordering::Relaxed),
+            ..self.stats
+        }
     }
 }
 
 impl Drop for MeshTransport {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.readers.stop.store(true, Ordering::Relaxed);
     }
 }
 
@@ -533,10 +565,9 @@ pub fn channel_mesh(
                 chaos.clone(),
                 links,
                 rx,
-                txs[i].clone(),
+                Readers::new(txs[i].clone()),
                 Arc::new(Mutex::new(Vec::new())),
                 config,
-                Arc::new(AtomicBool::new(false)),
             )
         })
         .collect()
@@ -628,14 +659,11 @@ fn join_with_listener(
         streams.insert(NodeId::new(peer), None);
     }
     let (tx, rx) = channel();
-    let stop = Arc::new(AtomicBool::new(false));
+    let readers = Readers::new(tx);
     let replacements: Replacements = Arc::new(Mutex::new(Vec::new()));
     let mut links = BTreeMap::new();
     for (peer, stream) in raw {
-        let reader = stream.try_clone()?;
-        let reader_tx = tx.clone();
-        let reader_stop = Arc::clone(&stop);
-        thread::spawn(move || reader_loop(reader, reader_tx, reader_stop));
+        readers.spawn(stream.try_clone()?, peer);
         let redial = streams.remove(&peer).flatten();
         links.insert(peer, PeerLink::Tcp(stream, redial));
     }
@@ -643,10 +671,9 @@ fn join_with_listener(
     // link to us breaks re-dial with the same id handshake, and the
     // acceptor publishes the fresh stream as a replacement link.
     {
-        let tx = tx.clone();
-        let stop = Arc::clone(&stop);
+        let readers = readers.clone();
         let replacements = Arc::clone(&replacements);
-        thread::spawn(move || acceptor_loop(listener, n, tx, stop, replacements));
+        thread::spawn(move || acceptor_loop(listener, n, readers, replacements));
     }
     Ok(MeshTransport::new(
         me,
@@ -655,10 +682,9 @@ fn join_with_listener(
         chaos,
         links,
         rx,
-        tx,
+        readers,
         replacements,
         config,
-        stop,
     ))
 }
 
@@ -666,18 +692,12 @@ fn join_with_listener(
 /// re-dial mid-run. Each accepted connection re-runs the 4-byte id
 /// handshake; its read half feeds the endpoint's inbox through a fresh
 /// reader thread and its write half is published as a replacement link.
-fn acceptor_loop(
-    listener: TcpListener,
-    n: usize,
-    tx: Sender<Frame>,
-    stop: Arc<AtomicBool>,
-    replacements: Replacements,
-) {
+fn acceptor_loop(listener: TcpListener, n: usize, readers: Readers, replacements: Replacements) {
     if listener.set_nonblocking(true).is_err() {
         return;
     }
     loop {
-        if stop.load(Ordering::Relaxed) {
+        if readers.stop.load(Ordering::Relaxed) {
             return;
         }
         match listener.accept() {
@@ -695,9 +715,7 @@ fn acceptor_loop(
                     continue;
                 }
                 let Ok(reader) = s.try_clone() else { continue };
-                let reader_tx = tx.clone();
-                let reader_stop = Arc::clone(&stop);
-                thread::spawn(move || reader_loop(reader, reader_tx, reader_stop));
+                readers.spawn(reader, NodeId::new(peer));
                 replacements
                     .lock()
                     .expect("replacements poisoned")
@@ -722,12 +740,14 @@ fn dial_with_retry(addr: SocketAddr, budget: Duration) -> io::Result<TcpStream> 
     }
 }
 
-/// Per-connection reader: accumulates bytes and forwards complete frames.
-/// Reading with a timeout (rather than blocking forever) lets the thread
+/// Per-connection reader: accumulates bytes and forwards complete frames
+/// sent by `peer`, the node the connection's id handshake named. A frame
+/// whose `src` names any other node is forged: it is dropped and counted,
+/// never forwarded. Reading with a timeout (rather than blocking forever) lets the thread
 /// notice the endpoint's stop flag, so finished runs do not strand reader
 /// threads on half-open sockets. Partial frames survive across timeouts —
 /// the accumulator only ever consumes whole frames.
-fn reader_loop(mut stream: TcpStream, tx: Sender<Frame>, stop: Arc<AtomicBool>) {
+fn reader_loop(mut stream: TcpStream, peer: NodeId, readers: Readers) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let mut acc: Vec<u8> = Vec::new();
     let mut buf = [0u8; 4096];
@@ -749,8 +769,11 @@ fn reader_loop(mut stream: TcpStream, tx: Sender<Frame>, stop: Arc<AtomicBool>) 
                         break;
                     }
                     match frame::decode(&acc[4..4 + len]) {
+                        Ok(f) if f.src() != peer => {
+                            readers.forged.fetch_add(1, Ordering::Relaxed);
+                        }
                         Ok(f) => {
-                            if tx.send(f).is_err() {
+                            if readers.tx.send(f).is_err() {
                                 return;
                             }
                         }
@@ -767,7 +790,7 @@ fn reader_loop(mut stream: TcpStream, tx: Sender<Frame>, stop: Arc<AtomicBool>) 
                         | io::ErrorKind::Interrupted
                 ) =>
             {
-                if stop.load(Ordering::Relaxed) {
+                if readers.stop.load(Ordering::Relaxed) {
                     return;
                 }
             }
@@ -907,10 +930,9 @@ mod tests {
             LinkChaos::healthy(),
             BTreeMap::new(),
             rx,
-            tx.clone(),
+            Readers::new(tx.clone()),
             Arc::new(Mutex::new(Vec::new())),
             MeshConfig::default(),
-            Arc::new(AtomicBool::new(false)),
         );
         assert_eq!(
             t.poll(),
@@ -938,6 +960,83 @@ mod tests {
             PollOutcome::Event(NodeEvent::Deliver { src, .. }) => assert_eq!(src, nid(2)),
             other => panic!("gated envelope should release in round 1, got {other:?}"),
         }
+    }
+
+    /// A peer that speaks as another node is caught at the reader: the
+    /// id handshake fixed who is on the other end of the connection, so
+    /// an `Envelope` or `Mark` whose `src` names anyone else is dropped
+    /// and counted, never delivered.
+    #[test]
+    fn forged_frames_are_dropped_and_counted() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let config = MeshConfig {
+            round_timeout: Duration::from_secs(30),
+            ..MeshConfig::default()
+        };
+        // Node 0 of 3 dials nobody and accepts nodes 1 and 2, so the
+        // peer addresses are never used.
+        let join = thread::spawn(move || {
+            join_with_listener(
+                nid(0),
+                listener,
+                &[addr; 3],
+                2,
+                LinkChaos::healthy(),
+                config,
+            )
+        });
+        let mut raw: Vec<TcpStream> = (1u32..=2)
+            .map(|id| {
+                let mut s = TcpStream::connect(addr).unwrap();
+                io::Write::write_all(&mut s, &id.to_le_bytes()).unwrap();
+                s
+            })
+            .collect();
+        let mut t = join.join().unwrap().unwrap();
+        assert_eq!(
+            t.poll(),
+            PollOutcome::Event(NodeEvent::Timeout { round: 0 })
+        );
+
+        // Node 1's connection speaks as node 2 twice, then as itself.
+        let forger = &mut raw[0];
+        frame::write_frame(forger, &envelope(2, Path::root(nid(2)), 9)).unwrap();
+        frame::write_frame(
+            forger,
+            &Frame::Mark {
+                src: nid(2),
+                round: 0,
+            },
+        )
+        .unwrap();
+        frame::write_frame(forger, &envelope(1, Path::root(nid(1)), 7)).unwrap();
+        frame::write_frame(
+            forger,
+            &Frame::Mark {
+                src: nid(1),
+                round: 0,
+            },
+        )
+        .unwrap();
+
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut delivered = Vec::new();
+        while !t.marks.get(&0).is_some_and(|m| m.contains(&nid(1))) {
+            match t.poll() {
+                PollOutcome::Event(NodeEvent::Deliver { src, .. }) => delivered.push(src),
+                PollOutcome::Pending => thread::sleep(Duration::from_millis(2)),
+                other => panic!("unexpected {other:?}"),
+            }
+            assert!(Instant::now() < deadline, "genuine frames never arrived");
+        }
+        assert_eq!(delivered, [nid(1)], "the forged envelope was delivered");
+        assert_eq!(t.marks[&0], BTreeSet::from([nid(1)]));
+        // Had the forged mark counted, both peers' marks would be in and
+        // round 0 would close here.
+        assert_eq!(t.poll(), PollOutcome::Pending);
+        assert_eq!(t.stats().forged, 2);
+        assert_eq!(t.stats().delivered, 1);
     }
 
     #[test]

@@ -2,30 +2,41 @@
 //!
 //! The batch service multiplexes K agreement instances over one engine
 //! run and resolves each through the shared memoized arena. These tests
-//! pin down the three identities that make that an *optimization* rather
-//! than a semantic change:
+//! pin down the identities that make that an *optimization* rather than
+//! a semantic change:
 //!
-//! 1. **Batch ≡ solo.** Under healthy links and under deterministic
-//!    chaos plans (cuts, `p = 1.0` duplication), every instance's
-//!    decisions are bit-identical to a one-at-a-time
-//!    [`degradable::run_protocol`] run. (Probabilistic chaos draws the
+//! 1. **Batch ≡ solo ≡ reference.** Under healthy links, every
+//!    instance's decisions are bit-identical to two independent runs of
+//!    that instance alone:
+//!    - a one-at-a-time [`degradable::run_protocol`] run. `run_protocol`
+//!      is itself a one-instance batch sharing the same fill and arena
+//!      VOTE, so this arm proves only that instances in one batch do
+//!      not interfere with each other;
+//!    - [`degradable::reference_eval`], the recursive per-receiver
+//!      oracle, fed by the same strategies through `Strategy::claim`.
+//!      It shares no relay or VOTE code with the batch, so this arm is
+//!      what proves the batch's decisions right.
+//!
+//!    Under deterministic chaos plans (cuts, `p = 1.0` duplication) the
+//!    batch ≡ solo arm still holds. (Probabilistic chaos draws the
 //!    shared link RNG in a different interleaving for batch vs solo, so
 //!    identity there is asserted via oracle 2 instead.)
 //! 2. **Arena ≡ view fold.** Under arbitrary random chaos, the batch's
 //!    arena decisions equal an independent recursive
 //!    [`degradable::EigView`] resolve over the *same* recorded
-//!    observations ([`degradable::run_batch_full`]).
+//!    observations ([`degradable::run_batch_traced`]).
 //! 3. **Worker-count and rerun invariance.** Decisions and deterministic
 //!    counters are identical for 1/2/8 resolve workers and across
 //!    repeated runs with the same seed.
 
 use degradable::{
-    run_batch, run_batch_full, run_batch_observed, run_batch_reference, run_batch_with,
-    run_protocol, BatchInstance, ByzInstance, Params, Strategy, Val, VoteRule,
+    reference_eval, run_batch, run_batch_observed, run_batch_reference, run_batch_traced,
+    run_batch_with, run_protocol, BatchInstance, ByzInstance, Params, Path, Strategy, Val,
+    VoteRule,
 };
 use obs::Obs;
 use simnet::{LinkFaultKind, LinkFaultPlan, NodeId, SimRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn n(i: usize) -> NodeId {
     NodeId::new(i)
@@ -103,6 +114,23 @@ fn healthy_batch_matches_solo_runs_across_shapes() {
                     batch.decisions[i], solo.decisions,
                     "n={nodes} m={m} u={u} k={k} seed={seed} instance {i}"
                 );
+                let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
+                let mut fabricate = |path: &Path, r: NodeId, truthful: &Val| {
+                    strategies[&path.last()].claim(path, r, truthful)
+                };
+                let oracle = reference_eval(
+                    nodes,
+                    inst.sender,
+                    single.depth(),
+                    single.rule(),
+                    &inst.value,
+                    &faulty,
+                    &mut fabricate,
+                );
+                assert_eq!(
+                    batch.decisions[i], oracle.decisions,
+                    "reference_eval: n={nodes} m={m} u={u} k={k} seed={seed} instance {i}"
+                );
             }
         }
     }
@@ -143,10 +171,19 @@ fn chaotic_arena_decisions_match_independent_view_folds() {
         let plan = chaos_plan(5, seed);
         let strategies = strategies(seed, 5, 1);
         let instances = mixed_instances(5, 4);
-        let (batch, views) = run_batch_full(params, 5, &instances, &strategies, seed, {
-            let plan = plan.clone();
-            |e| e.with_link_faults(plan)
-        });
+        let (batch, views) = run_batch_traced(
+            params,
+            5,
+            &instances,
+            &strategies,
+            seed,
+            false,
+            {
+                let plan = plan.clone();
+                |e| e.with_link_faults(plan)
+            },
+            &mut |_| {},
+        );
         assert!(batch.net.link_fault_injections() > 0, "seed {seed}");
         for (k, inst) in instances.iter().enumerate() {
             for (r, view) in &views[k] {
@@ -188,10 +225,10 @@ fn chaotic_batch_is_invariant_across_workers_and_reruns() {
             &strategies,
             42,
             workers,
+            false,
             |e| e.with_link_faults(plan),
             &mut Obs::disabled(),
         )
-        .0
     };
     let one = run_with_workers(1);
     for workers in [2, 8] {

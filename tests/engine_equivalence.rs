@@ -10,8 +10,8 @@
 //!    enumerated through the same [`choice_points`] function), the
 //!    engine's decisions must be bit-identical to the reference — and,
 //!    on the 4-node shape, bit-identical across 1/2/8 resolve workers.
-//!    The early-stop + packed-VOTE engine is held to the same oracle
-//!    over the same complete table space (DESIGN.md §5h soundness).
+//!    The early-stopping engine is held to the same oracle over the
+//!    same complete table space (DESIGN.md §5h soundness).
 //! 2. **Randomized protocol sweep** — `N ∈ {7..13}` with `m ∈ {1, 2}`
 //!    under random PR-2 link-chaos plans (drops, duplicates, reorders,
 //!    cuts): [`run_protocol_full`] exposes every receiver's materialized
@@ -90,16 +90,13 @@ fn exhaust_shape(n: usize, m: usize, u: usize, check_workers: bool) -> u64 {
         ];
         for f in 0..=u {
             for faulty in subsets(n, f) {
-                // The optimized executor: certified-fault-set pruning
-                // plus the bitpacked VOTE path, rebuilt per fault set
-                // (the early-stop mask is per-run state). Its decisions
-                // must match the oracle for EVERY adversary drawn from
-                // `faulty` — the soundness claim of DESIGN.md §5h,
-                // checked here over the complete table space.
-                let pruned = instance
-                    .engine()
-                    .with_early_stop(&faulty)
-                    .with_packed_vote();
+                // The optimized executor: certified-fault-set pruning,
+                // rebuilt per fault set (the early-stop mask is per-run
+                // state). Its decisions must match the oracle for EVERY
+                // adversary drawn from `faulty` — the soundness claim of
+                // DESIGN.md §5h, checked here over the complete table
+                // space.
+                let pruned = instance.engine().with_early_stop(&faulty);
                 let points = choice_points(&instance, &faulty);
                 for_each_table(points.len(), domain.len(), |odo| {
                     tables += 1;
@@ -134,7 +131,7 @@ fn exhaust_shape(n: usize, m: usize, u: usize, check_workers: bool) -> u64 {
                         instance.run_engine(&pruned, &Val::Value(1), &faulty, &mut fabricate);
                     assert_eq!(
                         prun.decisions, oracle,
-                        "early-stop + packed engine diverged from reference: \
+                        "early-stop engine diverged from reference: \
                          n={n} m={m} u={u} sender={sender} faulty={faulty:?} table={table:?}"
                     );
                     if check_workers {
@@ -199,12 +196,12 @@ fn random_plan(n: usize, rng: &mut SimRng) -> LinkFaultPlan {
 }
 
 #[test]
-fn early_stop_packed_matches_reference_across_random_adversaries() {
+fn early_stop_matches_reference_across_random_adversaries() {
     // Randomized differential at protocol scale: N ∈ {7..13}, m ∈ {1, 2},
     // random fault sets that may include the sender (the case where
     // certified-fault pruning fires below the root even with faults
-    // present), random battery strategies. The early-stop + packed
-    // engine must be bit-identical to reference_eval on every draw.
+    // present), random battery strategies. The early-stop engine
+    // must be bit-identical to reference_eval on every draw.
     let mut rng = SimRng::seed(0xE19_0DD);
     let mut saved_total = 0u64;
     for n in 7..=13usize {
@@ -246,14 +243,11 @@ fn early_stop_packed_matches_reference_across_random_adversaries() {
                     &mut fabricate,
                 )
                 .decisions;
-                let pruned = instance
-                    .engine()
-                    .with_early_stop(&faulty)
-                    .with_packed_vote();
+                let pruned = instance.engine().with_early_stop(&faulty);
                 let run = instance.run_engine(&pruned, &Val::Value(7), &faulty, &mut fabricate);
                 assert_eq!(
                     run.decisions, oracle,
-                    "early-stop + packed diverged: n={n} m={m} faulty={faulty:?}"
+                    "early-stop diverged: n={n} m={m} faulty={faulty:?}"
                 );
                 if faulty.is_empty() {
                     assert!(

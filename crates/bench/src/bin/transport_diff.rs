@@ -43,7 +43,8 @@ use obs::{Obs, TimeMode};
 use simnet::{LinkFaultKind, LinkFaultPlan, NodeId};
 use std::collections::BTreeMap;
 use transport::{
-    run_channel, run_sim, run_tcp, LinkChaos, MeshConfig, RelaxedTiming, TransportRun,
+    run_kind, run_sim, LinkChaos, MeshConfig, RelaxedTiming, RunOptions, TransportKind,
+    TransportRun,
 };
 
 /// `(n, m, u)` per node count: each is a valid BYZ shape
@@ -167,20 +168,32 @@ fn diff_cell(cell: &DiffCell, mut rng: simnet::SimRng, obs: &mut Obs) -> DiffRow
     let seed = rng.below(u64::MAX);
     let chaos = LinkChaos::new(plan.plan(n), seed);
 
-    let sim = run_sim(&inst, Val::Value(42), &strategies, chaos.clone(), None);
-    let chan = run_channel(
+    let sim = run_sim(
+        &inst,
+        Val::Value(42),
+        &strategies,
+        chaos.clone(),
+        None,
+        RunOptions::default(),
+    );
+    let chan = run_kind(
+        TransportKind::Channel,
         &inst,
         Val::Value(42),
         &strategies,
         chaos.clone(),
         MeshConfig::default(),
-    );
-    let tcp = run_tcp(
+        RunOptions::default(),
+    )
+    .expect("channel mesh");
+    let tcp = run_kind(
+        TransportKind::Tcp,
         &inst,
         Val::Value(42),
         &strategies,
         chaos,
         MeshConfig::default(),
+        RunOptions::default(),
     )
     .expect("loopback mesh");
 
@@ -277,6 +290,7 @@ fn relaxed_cell(cell: &RelaxedCell, mut rng: simnet::SimRng, obs: &mut Obs) -> R
         &strategies,
         LinkChaos::healthy(),
         Some(relaxed),
+        RunOptions::default(),
     );
     let record = RunRecord {
         params: inst.params(),

@@ -686,7 +686,7 @@ fn serve_cmd(
         instance: 0,
         metrics_out: metrics_out.map(std::path::PathBuf::from),
     };
-    let outcome = transport::drive_mesh_opts(endpoint, machine, &drive);
+    let outcome = transport::drive_mesh(endpoint, machine, &drive);
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -122,7 +122,7 @@ pub use path::{path_count, paths_of_length, Path};
 pub use protocol::{run_protocol, run_protocol_full, run_protocol_with, ByzMsg, ProtocolRun};
 pub use service::{
     run_batch, run_batch_observed, run_batch_reference, run_batch_traced, run_batch_with,
-    BatchInstance, BatchMsg, BatchRun, BatchTraceEvent, ServiceBatch, ServiceConfig, ServiceError,
+    BatchEvent, BatchInstance, BatchMsg, BatchRun, ServiceBatch, ServiceConfig, ServiceError,
     ServiceState, ServiceStats,
 };
 pub use sm::{run_sm, run_sm_honest, SmAdversary, SmRelayAction};

@@ -40,6 +40,18 @@ impl Path {
         Path(v)
     }
 
+    /// The path with exactly these ids in relay order, built in one pass —
+    /// the constructor for untrusted input such as wire frames. `None` if
+    /// `ids` is empty or names a node twice (checked in O(len log len)).
+    pub fn from_ids(ids: Vec<NodeId>) -> Option<Self> {
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        if ids.is_empty() || sorted.windows(2).any(|w| w[0] == w[1]) {
+            return None;
+        }
+        Some(Path(ids))
+    }
+
     /// Number of nodes on the path (`>= 1`).
     pub fn len(&self) -> usize {
         self.0.len()
@@ -137,6 +149,10 @@ mod tests {
         assert_eq!(p.sender(), n(0));
         assert_eq!(p.last(), n(2));
         assert!(p.contains(n(0)) && p.contains(n(2)) && !p.contains(n(1)));
+        assert_eq!(Path::from_ids(vec![n(0), n(2)]), Some(p));
+        // The one-pass constructor refuses what `child` would panic on.
+        assert_eq!(Path::from_ids(Vec::new()), None);
+        assert_eq!(Path::from_ids(vec![n(2), n(1), n(2)]), None);
     }
 
     #[test]

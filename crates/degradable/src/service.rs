@@ -128,7 +128,7 @@ pub struct BatchRun<V: Ord> {
 /// [`run_batch_traced`] reports it — the raw material for replaying a
 /// batch through one `SpecChecker` per instance.
 #[derive(Debug, Clone)]
-pub enum BatchTraceEvent<V> {
+pub enum BatchEvent<V> {
     /// An envelope claiming `instance` was handed to `to`, folding at
     /// the close of `round`. Emitted for every inbox envelope with an
     /// in-range instance id, *before* any validation — the consumer's
@@ -267,7 +267,7 @@ fn materialize_views<V: Clone + Ord>(
 /// [`run_batch_with`] with conformance hooks: optional certified-fault-set
 /// early stopping (armed against the strategy key set, mirroring
 /// [`crate::NodeStateMachine::with_early_stop`]) and a trace callback
-/// receiving one [`BatchTraceEvent`] per delivery and per
+/// receiving one [`BatchEvent`] per delivery and per
 /// instance × node × round close — everything a per-instance
 /// `SpecChecker` replay needs.
 ///
@@ -285,7 +285,7 @@ pub fn run_batch_traced<V: Clone + Ord + Hash + Send + Sync>(
     seed: u64,
     early_stop: bool,
     engine_setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
-    trace: &mut dyn FnMut(BatchTraceEvent<V>),
+    trace: &mut dyn FnMut(BatchEvent<V>),
 ) -> (BatchRun<V>, Vec<BTreeMap<NodeId, EigView<V>>>) {
     let (run, engines, engine_idx, stores) = run_batch_core(
         params,
@@ -357,7 +357,7 @@ fn run_batch_core<V: Clone + Ord + Hash + Send + Sync>(
     seed: u64,
     workers: usize,
     early_stop: bool,
-    trace: Option<&mut dyn FnMut(BatchTraceEvent<V>)>,
+    trace: Option<&mut dyn FnMut(BatchEvent<V>)>,
     engine_setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
     obs: &mut Obs,
 ) -> (BatchRun<V>, Vec<EigEngine>, Vec<usize>, Vec<EigStore<V>>) {
@@ -430,7 +430,7 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     strategies: &BTreeMap<NodeId, Strategy<V>>,
     seed: u64,
     early_stop: bool,
-    mut trace: Option<&mut dyn FnMut(BatchTraceEvent<V>)>,
+    mut trace: Option<&mut dyn FnMut(BatchEvent<V>)>,
     engine_setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
     obs: &mut Obs,
     engines: &[EigEngine],
@@ -473,7 +473,7 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                 let idx = msg.instance as usize;
                 if idx < instances.len() {
                     if let Some(trace) = trace.as_deref_mut() {
-                        trace(BatchTraceEvent::Deliver {
+                        trace(BatchEvent::Deliver {
                             instance: idx,
                             to: me,
                             src,
@@ -581,7 +581,7 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
         }
         if let Some(trace) = trace.as_deref_mut() {
             for (idx, sends) in traced_sends.into_iter().enumerate() {
-                trace(BatchTraceEvent::Close {
+                trace(BatchEvent::Close {
                     instance: idx,
                     node: me,
                     round,
@@ -1644,8 +1644,8 @@ mod tests {
             false,
             |e| e,
             &mut |ev| match ev {
-                BatchTraceEvent::Deliver { .. } => delivers += 1,
-                BatchTraceEvent::Close { sends, .. } => {
+                BatchEvent::Deliver { .. } => delivers += 1,
+                BatchEvent::Close { sends, .. } => {
                     closes += 1;
                     sent_in_trace += sends.len();
                 }

@@ -152,6 +152,7 @@ impl TransportExecutor {
             &scenario.strategies,
             chaos,
             MeshConfig::default(),
+            transport::RunOptions::default(),
         )
         .map_err(|e| ScenarioError::Transport {
             kind: scenario.transport,

@@ -32,9 +32,9 @@
 
 use crate::report::JsonValue;
 use degradable::{
-    adversary_by_id, check_degradable, run_batch_traced, AdaptiveAdversary, BatchInstance,
-    BatchTraceEvent, ByzInstance, ByzMsg, NodeAction, NodeEvent, NodeStateMachine, Params,
-    RunRecord, SpecChecker, SpecInstance, SpecViolation, Strategy, Val, Verdict,
+    adversary_by_id, check_degradable, run_batch_traced, AdaptiveAdversary, BatchEvent,
+    BatchInstance, ByzInstance, ByzMsg, NodeAction, NodeEvent, NodeStateMachine, Params, RunRecord,
+    SpecChecker, SpecInstance, SpecViolation, Strategy, Val, Verdict,
 };
 use simnet::{LinkFaultKind, LinkFaultPlan, NodeId, SimRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -423,6 +423,60 @@ fn violation_ctx(instance: u64, v: &SpecViolation) -> Option<obs::TraceCtx> {
     ))
 }
 
+/// Records `checker`'s first complaint as the run's first violation,
+/// unless one is already recorded. `trace` is the step's own context,
+/// used when the complaint names no relay path of `instance`; `desc` is
+/// rendered only when a violation is recorded.
+fn note_violation(
+    first: &mut Option<FuzzViolation>,
+    checker: &SpecChecker<u64>,
+    instance: u64,
+    step: usize,
+    trace: Option<obs::TraceCtx>,
+    desc: impl FnOnce() -> String,
+) {
+    if first.is_none() {
+        if let Some(v) = checker.first_violation() {
+            *first = Some(FuzzViolation {
+                step,
+                step_desc: desc(),
+                violation: v.to_string(),
+                trace: violation_ctx(instance, v).or(trace),
+            });
+        }
+    }
+}
+
+/// Holds the fault-free `decisions` of `plan`'s instance to
+/// [`check_degradable`]. A violation is reported as one more driver step
+/// (`step` advances) described by `step_desc`.
+fn model_check(
+    plan: &FuzzPlan,
+    faulty: BTreeSet<NodeId>,
+    decisions: &BTreeMap<NodeId, Val>,
+    step: &mut usize,
+    step_desc: String,
+) -> Option<FuzzViolation> {
+    let record = RunRecord {
+        params: Params::new(plan.m, plan.u).expect("valid plan"),
+        n: plan.n,
+        sender: plan.sender,
+        sender_value: Val::Value(plan.sender_value),
+        faulty,
+        decisions: decisions.clone(),
+    };
+    let Verdict::Violated(v) = check_degradable(&record) else {
+        return None;
+    };
+    *step += 1;
+    Some(FuzzViolation {
+        step: *step,
+        step_desc,
+        violation: format!("degradable agreement violated with f <= u: {v:?}"),
+        trace: None,
+    })
+}
+
 impl fmt::Display for FuzzViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -493,21 +547,6 @@ pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
 
     let mut step = 0usize;
     let mut first: Option<FuzzViolation> = None;
-    let mut note = |checker: &SpecChecker<u64>,
-                    step: usize,
-                    trace: Option<obs::TraceCtx>,
-                    desc: &dyn Fn() -> String| {
-        if first.is_none() {
-            if let Some(v) = checker.first_violation() {
-                first = Some(FuzzViolation {
-                    step,
-                    step_desc: desc(),
-                    violation: v.to_string(),
-                    trace: violation_ctx(0, v).or(trace),
-                });
-            }
-        }
-    };
 
     // deliveries[r][i]: envelopes folding at node i's close of round r.
     type Mailboxes = Vec<Vec<Vec<(NodeId, ByzMsg<u64>)>>>;
@@ -521,12 +560,19 @@ pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
             for (src, msg) in std::mem::take(&mut deliveries[round][i]) {
                 step += 1;
                 checker.deliver(node, src, &msg, round);
-                note(&checker, step, Some(delivery_ctx(0, &msg)), &|| {
-                    format!(
-                        "deliver round={round} to={node} src={src} path={}",
-                        msg.path
-                    )
-                });
+                note_violation(
+                    &mut first,
+                    &checker,
+                    0,
+                    step,
+                    Some(delivery_ctx(0, &msg)),
+                    || {
+                        format!(
+                            "deliver round={round} to={node} src={src} path={}",
+                            msg.path
+                        )
+                    },
+                );
                 if let Some(adv) = adversaries.get_mut(&node) {
                     adv.observe(round, src, &msg.path, &msg.value);
                 }
@@ -597,7 +643,7 @@ pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
             }
             step += 1;
             checker.close_round(node, round, &sends);
-            note(&checker, step, None, &|| {
+            note_violation(&mut first, &checker, 0, step, None, || {
                 format!("close node={node} round={round}")
             });
             for (to, msg) in sends {
@@ -632,7 +678,9 @@ pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
                 }
                 step += 1;
                 checker.decide(node, reported.as_ref());
-                note(&checker, step, None, &|| format!("decide node={node}"));
+                note_violation(&mut first, &checker, 0, step, None, || {
+                    format!("decide node={node}")
+                });
                 if let Some(d) = reported {
                     decisions.insert(node, d);
                 }
@@ -659,28 +707,14 @@ pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
         let node = NodeId::new(i);
         step += 1;
         checker.check_view(node, machine.view().entries());
-        note(&checker, step, None, &|| format!("check-view node={node}"));
+        note_violation(&mut first, &checker, 0, step, None, || {
+            format!("check-view node={node}")
+        });
     }
 
     let verdict_checked = plan.is_model_clean() && mutation.is_none() && first.is_none();
     if verdict_checked {
-        let record = RunRecord {
-            params: Params::new(plan.m, plan.u).expect("valid plan"),
-            n,
-            sender: plan.sender,
-            sender_value: Val::Value(plan.sender_value),
-            faulty,
-            decisions: decisions.clone(),
-        };
-        if let Verdict::Violated(v) = check_degradable(&record) {
-            step += 1;
-            first = Some(FuzzViolation {
-                step,
-                step_desc: "model-check".into(),
-                violation: format!("degradable agreement violated with f <= u: {v:?}"),
-                trace: None,
-            });
-        }
+        first = model_check(plan, faulty, &decisions, &mut step, "model-check".into());
     }
     ExecReport {
         steps: step,
@@ -727,7 +761,7 @@ pub fn run_plan_transport(plan: &FuzzPlan, kind: TransportKind) -> ExecReport {
         record_events: true,
         ..RunOptions::default()
     };
-    let run = transport::run_kind_with(
+    let run = transport::run_kind(
         kind,
         &inst,
         Val::Value(plan.sender_value),
@@ -777,21 +811,6 @@ pub fn run_plan_transport(plan: &FuzzPlan, kind: TransportKind) -> ExecReport {
 
     let mut step = 0usize;
     let mut first: Option<FuzzViolation> = None;
-    let mut note = |checker: &SpecChecker<u64>,
-                    step: usize,
-                    trace: Option<obs::TraceCtx>,
-                    desc: &dyn Fn() -> String| {
-        if first.is_none() {
-            if let Some(v) = checker.first_violation() {
-                first = Some(FuzzViolation {
-                    step,
-                    step_desc: desc(),
-                    violation: v.to_string(),
-                    trace: violation_ctx(0, v).or(trace),
-                });
-            }
-        }
-    };
     let mut decisions: BTreeMap<NodeId, Val> = BTreeMap::new();
     for round in 0..=depth {
         for i in 0..n {
@@ -804,22 +823,29 @@ pub fn run_plan_transport(plan: &FuzzPlan, kind: TransportKind) -> ExecReport {
             for (src, msg) in delivers {
                 step += 1;
                 checker.deliver(node, *src, msg, round);
-                note(&checker, step, Some(delivery_ctx(0, msg)), &|| {
-                    format!(
-                        "{kind:?} deliver round={round} to={node} src={src} path={}",
-                        msg.path
-                    )
-                });
+                note_violation(
+                    &mut first,
+                    &checker,
+                    0,
+                    step,
+                    Some(delivery_ctx(0, msg)),
+                    || {
+                        format!(
+                            "{kind:?} deliver round={round} to={node} src={src} path={}",
+                            msg.path
+                        )
+                    },
+                );
             }
             step += 1;
             checker.close_round(node, round, sends);
-            note(&checker, step, None, &|| {
+            note_violation(&mut first, &checker, 0, step, None, || {
                 format!("{kind:?} close node={node} round={round}")
             });
             if round == depth {
                 step += 1;
                 checker.decide(node, decided.as_ref());
-                note(&checker, step, None, &|| {
+                note_violation(&mut first, &checker, 0, step, None, || {
                     format!("{kind:?} decide node={node}")
                 });
                 if let Some(d) = decided {
@@ -831,30 +857,15 @@ pub fn run_plan_transport(plan: &FuzzPlan, kind: TransportKind) -> ExecReport {
     for (node, view) in &run.views {
         step += 1;
         checker.check_view(*node, view.entries());
-        note(&checker, step, None, &|| {
+        note_violation(&mut first, &checker, 0, step, None, || {
             format!("{kind:?} check-view node={node}")
         });
     }
 
     let verdict_checked = plan.is_model_clean() && first.is_none();
     if verdict_checked {
-        let record = RunRecord {
-            params: Params::new(plan.m, plan.u).expect("valid plan"),
-            n,
-            sender: plan.sender,
-            sender_value: Val::Value(plan.sender_value),
-            faulty,
-            decisions: decisions.clone(),
-        };
-        if let Verdict::Violated(v) = check_degradable(&record) {
-            step += 1;
-            first = Some(FuzzViolation {
-                step,
-                step_desc: format!("{kind:?} model-check"),
-                violation: format!("degradable agreement violated with f <= u: {v:?}"),
-                trace: None,
-            });
-        }
+        let desc = format!("{kind:?} model-check");
+        first = model_check(plan, faulty, &decisions, &mut step, desc);
     }
     ExecReport {
         steps: step,
@@ -910,7 +921,7 @@ pub fn run_plan_batch(plan: &FuzzPlan) -> ExecReport {
         &mut |ev| {
             step += 1;
             let (k, trace) = match ev {
-                BatchTraceEvent::Deliver {
+                BatchEvent::Deliver {
                     instance,
                     to,
                     src,
@@ -922,7 +933,7 @@ pub fn run_plan_batch(plan: &FuzzPlan) -> ExecReport {
                     checkers[instance].deliver(to, src, &msg, round);
                     (instance, Some(delivery_ctx(instance as u64, &msg)))
                 }
-                BatchTraceEvent::Close {
+                BatchEvent::Close {
                     instance,
                     node,
                     round,
@@ -936,44 +947,24 @@ pub fn run_plan_batch(plan: &FuzzPlan) -> ExecReport {
                     (instance, None)
                 }
             };
-            if first.is_none() {
-                if let Some(v) = checkers[k].first_violation() {
-                    first = Some(FuzzViolation {
-                        step,
-                        step_desc: format!("batch event instance={k}"),
-                        violation: v.to_string(),
-                        trace: violation_ctx(k as u64, v).or(trace),
-                    });
-                }
-            }
+            note_violation(&mut first, &checkers[k], k as u64, step, trace, || {
+                format!("batch event instance={k}")
+            });
         },
     );
-    let mut note =
-        |checkers: &[SpecChecker<u64>], k: usize, step: usize, desc: &dyn Fn() -> String| {
-            if first.is_none() {
-                if let Some(v) = checkers[k].first_violation() {
-                    first = Some(FuzzViolation {
-                        step,
-                        step_desc: desc(),
-                        violation: v.to_string(),
-                        trace: violation_ctx(k as u64, v),
-                    });
-                }
-            }
-        };
     for (k, _) in instances.iter().enumerate() {
         for i in 0..plan.n {
             let node = NodeId::new(i);
             step += 1;
             checkers[k].decide(node, run.decisions[k].get(&node));
-            note(&checkers, k, step, &|| {
+            note_violation(&mut first, &checkers[k], k as u64, step, None, || {
                 format!("batch decide instance={k} node={node}")
             });
         }
         for (node, view) in &views[k] {
             step += 1;
             checkers[k].check_view(*node, view.entries());
-            note(&checkers, k, step, &|| {
+            note_violation(&mut first, &checkers[k], k as u64, step, None, || {
                 format!("batch check-view instance={k} node={node}")
             });
         }
@@ -981,23 +972,8 @@ pub fn run_plan_batch(plan: &FuzzPlan) -> ExecReport {
 
     let verdict_checked = first.is_none();
     if verdict_checked {
-        let record = RunRecord {
-            params,
-            n: plan.n,
-            sender: plan.sender,
-            sender_value: Val::Value(plan.sender_value),
-            faulty,
-            decisions: run.decisions[0].clone(),
-        };
-        if let Verdict::Violated(v) = check_degradable(&record) {
-            step += 1;
-            first = Some(FuzzViolation {
-                step,
-                step_desc: "batch model-check".into(),
-                violation: format!("degradable agreement violated with f <= u: {v:?}"),
-                trace: None,
-            });
-        }
+        let desc = "batch model-check".into();
+        first = model_check(plan, faulty, &run.decisions[0], &mut step, desc);
     }
     ExecReport {
         steps: step,

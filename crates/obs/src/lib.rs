@@ -2,9 +2,9 @@
 //! workspace.
 //!
 //! `obs` sits at the bottom of the dependency graph (zero external
-//! dependencies, std only) and gives every layer above it — simnet,
-//! the EIG engine, the sweep harness, the CLI and the benches — one
-//! shared vocabulary for instrumentation:
+//! dependencies, std only) and gives every layer above it — the EIG
+//! engine, the service, the transports, the sweep harness, the CLI and
+//! the benches — one shared vocabulary for instrumentation:
 //!
 //! * [`Registry`] — named counters, gauges and fixed-bucket
 //!   histograms with sorted, bit-stable JSON snapshots.

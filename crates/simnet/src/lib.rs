@@ -21,7 +21,10 @@
 //!   timers. Rounds are emergent from the timers; every process sends in
 //!   round `r`, messages are delivered at the start of round `r+1`, and a
 //!   missing message is *detectably absent* (its delivery event did not
-//!   fire before the receiver's timer), matching assumption (2).
+//!   fire before the receiver's timer), matching assumption (2). A run
+//!   reports through one [`Outcome`]: a per-cause counter for every way a
+//!   message can end (delivered, crash, omission, late, no link, link cut,
+//!   link loss, corrupt) plus the duplicate and reorder injections.
 //! * [`fault`] — fault plans: crash, omission, delay and Byzantine
 //!   markers, applied by the engine independently of process logic.
 //! * [`latency`] — per-message latency models and round deadlines, used to
@@ -65,7 +68,6 @@ pub mod rng;
 pub mod routing;
 pub mod sched;
 pub mod topology;
-pub mod trace;
 
 pub use connectivity::{
     local_connectivity, minimum_vertex_cut, vertex_connectivity, vertex_disjoint_paths,
@@ -80,7 +82,6 @@ pub use rng::SimRng;
 pub use routing::{DegradableLink, Delivery, RelayNetwork};
 pub use sched::{EventClass, EventQueue, Scheduled, SimTime};
 pub use topology::Topology;
-pub use trace::{LateCause, Trace, TraceEvent};
 
 /// Convenience glob import for downstream crates and examples.
 pub mod prelude {
@@ -97,5 +98,4 @@ pub mod prelude {
     pub use crate::routing::{DegradableLink, Delivery, RelayNetwork};
     pub use crate::sched::{EventClass, EventQueue, Scheduled, SimTime};
     pub use crate::topology::Topology;
-    pub use crate::trace::{LateCause, Trace, TraceEvent};
 }

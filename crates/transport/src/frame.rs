@@ -196,10 +196,15 @@ pub fn decode(body: &[u8]) -> Result<Frame, FrameError> {
             if path_len == 0 {
                 return Err(FrameError::Malformed("empty relay path"));
             }
-            let mut path = Path::root(NodeId::new(cur.u32()? as usize));
-            for _ in 1..path_len {
-                path = path.child(NodeId::new(cur.u32()? as usize));
-            }
+            // One pass over the ids; a forged length fails the bounds
+            // check in `take` before anything is allocated.
+            let ids = cur
+                .take(path_len * 4)?
+                .chunks_exact(4)
+                .map(|b| NodeId::new(u32::from_le_bytes(b.try_into().unwrap()) as usize))
+                .collect();
+            let path =
+                Path::from_ids(ids).ok_or(FrameError::Malformed("relay path repeats a node"))?;
             let trace = if tag == TAG_TRACED {
                 // Observability metadata degrades instead of failing:
                 // whatever is wrong with the trace section, the envelope
@@ -291,7 +296,7 @@ struct Cursor<'a> {
 
 impl Cursor<'_> {
     fn take(&mut self, k: usize) -> Result<&[u8], FrameError> {
-        if self.pos + k > self.buf.len() {
+        if k > self.buf.len() - self.pos {
             return Err(FrameError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + k];
@@ -315,6 +320,7 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::SimRng;
 
     fn nid(i: usize) -> NodeId {
         NodeId::new(i)
@@ -414,12 +420,76 @@ mod tests {
 
     #[test]
     fn empty_path_is_rejected() {
-        // envelope, src 0, V_d, path_len 0
-        let mut body = vec![TAG_ENVELOPE];
-        put_u32(&mut body, 0);
-        body.push(VAL_DEFAULT);
-        put_u32(&mut body, 0);
-        assert!(matches!(decode(&body), Err(FrameError::Malformed(_))));
+        // envelope, src 0, V_d, then the path: empty, or [0, 1, 1], which
+        // repeats a relayer.
+        for ids in [&[][..], &[0, 1, 1]] {
+            let mut body = vec![TAG_ENVELOPE];
+            put_u32(&mut body, 0);
+            body.push(VAL_DEFAULT);
+            put_u32(&mut body, ids.len() as u32);
+            for &id in ids {
+                put_u32(&mut body, id);
+            }
+            assert!(
+                matches!(decode(&body), Err(FrameError::Malformed(_))),
+                "{ids:?}"
+            );
+        }
+    }
+
+    /// Seeded robustness sweep: truncated, bit-flipped and length-forged
+    /// encodings of valid frames must decode to a frame or a
+    /// [`FrameError`], never panic.
+    #[test]
+    fn decode_never_panics_on_mutated_frames() {
+        let mut rng = SimRng::seed(0xF4A3E);
+        let mut frames = sample_frames();
+        // A deep traced path, so bit flips can turn one id into another.
+        frames.push(Frame::Envelope {
+            src: nid(5),
+            msg: ByzMsg {
+                path: (1..6).fold(Path::root(nid(0)), |p, i| p.child(nid(i))),
+                value: AgreementValue::Value(9),
+            },
+            trace: Some(TraceCtx::new(1, vec![0, 1, 2])),
+        });
+        for frame in &frames {
+            let body = &encode(frame)[4..];
+            assert_eq!(decode(body).unwrap(), *frame);
+            // The envelope's path-length field: tag, src, value.
+            let path_len_at = match frame {
+                Frame::Envelope { msg, .. } => match msg.value {
+                    AgreementValue::Default => Some(1 + 4 + 1),
+                    AgreementValue::Value(_) => Some(1 + 4 + 1 + 8),
+                },
+                Frame::Mark { .. } => None,
+            };
+            for _ in 0..2000 {
+                let mut bytes = body.to_vec();
+                match rng.below(3) {
+                    0 => bytes.truncate(rng.below(bytes.len() as u64) as usize),
+                    1 => {
+                        for _ in 0..=rng.below(3) {
+                            let bit = rng.below(bytes.len() as u64 * 8) as usize;
+                            bytes[bit / 8] ^= 1 << (bit % 8);
+                        }
+                    }
+                    _ => {
+                        let at = match path_len_at {
+                            Some(at) if rng.chance(0.5) => at,
+                            _ => rng.below(bytes.len() as u64 - 3) as usize,
+                        };
+                        let forged = match rng.below(3) {
+                            0 => u32::MAX,
+                            1 => rng.below(64) as u32,
+                            _ => rng.below(1 << 32) as u32,
+                        };
+                        bytes[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+                    }
+                }
+                let _ = decode(&bytes);
+            }
+        }
     }
 
     #[test]

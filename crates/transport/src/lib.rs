@@ -46,9 +46,8 @@ pub use mesh::{
     RECONNECT_DELAY_CAP,
 };
 pub use runner::{
-    drive_mesh, drive_mesh_opts, drive_mesh_with, run_channel, run_channel_with, run_kind,
-    run_kind_with, run_sim, run_sim_with, run_tcp, run_tcp_with, LoggedEvent, MeshDriveOptions,
-    NodeOutcome, NodeTracer, RunOptions, TransportRun,
+    drive_mesh, run_kind, run_sim, LoggedEvent, MeshDriveOptions, NodeOutcome, NodeTracer,
+    RunOptions, TransportRun,
 };
 pub use sim::{RelaxedTiming, SimTransport, SimWorld};
 
@@ -88,7 +87,7 @@ pub trait Transport {
     /// lives in the machine, not in delivery errors).
     fn send(&mut self, to: NodeId, msg: ByzMsg<u64>);
 
-    /// [`send`](Self::send) with an attached causal [`TraceCtx`].
+    /// [`send`](Self::send) with an attached causal [`obs::TraceCtx`].
     ///
     /// Tracing is observability, not protocol: the default implementation
     /// drops the context and delegates to `send`, so backends that cannot

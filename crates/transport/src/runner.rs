@@ -4,12 +4,17 @@
 //! event to the node's [`NodeStateMachine`], perform the returned actions
 //! — but the concurrency shape differs: [`run_sim`] multiplexes all `n`
 //! endpoints on the calling thread (the shared event queue dictates the
-//! order, so the sweep pattern is irrelevant), while [`run_channel`] and
-//! [`run_tcp`] give every node its own OS thread and let real scheduling
-//! happen. All three return a [`TransportRun`] carrying decisions, the
-//! per-node EIG views (the reference fold's input, for re-deriving
-//! decisions through `EigView::resolve`), and merged traffic stats — the
-//! differential suite's raw material.
+//! order, so the sweep pattern is irrelevant), while the channel and TCP
+//! meshes behind [`run_kind`] give every node its own OS thread running
+//! [`drive_mesh`] and let real scheduling happen. Every backend returns a
+//! [`TransportRun`] carrying decisions, the per-node EIG views (the
+//! reference fold's input, for re-deriving decisions through
+//! `EigView::resolve`), and merged traffic stats — the differential
+//! suite's raw material.
+//!
+//! Three entry points: [`run_sim`] (the simulator, with optional §6
+//! skew), [`run_kind`] (any backend by [`TransportKind`]) and
+//! [`drive_mesh`] (one already-joined mesh endpoint).
 
 use crate::mesh::{channel_mesh, tcp_mesh, MeshConfig, MeshTransport};
 use crate::sim::{RelaxedTiming, SimWorld};
@@ -390,24 +395,6 @@ pub fn run_sim(
     strategies: &BTreeMap<NodeId, Strategy<u64>>,
     chaos: LinkChaos,
     relaxed: Option<RelaxedTiming>,
-) -> TransportRun {
-    run_sim_with(
-        instance,
-        sender_value,
-        strategies,
-        chaos,
-        relaxed,
-        RunOptions::default(),
-    )
-}
-
-/// [`run_sim`] with explicit [`RunOptions`].
-pub fn run_sim_with(
-    instance: &ByzInstance,
-    sender_value: Val,
-    strategies: &BTreeMap<NodeId, Strategy<u64>>,
-    chaos: LinkChaos,
-    relaxed: Option<RelaxedTiming>,
     options: RunOptions,
 ) -> TransportRun {
     let n = instance.n();
@@ -479,9 +466,9 @@ pub fn run_sim_with(
     TransportRun::assemble(TransportKind::Sim, outcomes)
 }
 
-/// Knobs for [`drive_mesh_opts`] — one mesh endpoint's driver loop, as
-/// used per node by [`run_channel`]/[`run_tcp`] and standalone by
-/// `dagree serve`.
+/// Knobs for [`drive_mesh`] — one mesh endpoint's driver loop, as used
+/// per node by the channel and TCP backends of [`run_kind`] and
+/// standalone by `dagree serve`.
 #[derive(Debug, Clone, Default)]
 pub struct MeshDriveOptions {
     /// Record a per-node [`LoggedEvent`] log.
@@ -500,30 +487,9 @@ pub struct MeshDriveOptions {
 
 /// Drives one mesh endpoint to completion on the current thread — the
 /// loop `dagree serve` runs after [`crate::tcp_join`] hands it a joined
-/// endpoint, and the per-node body of [`run_channel`]/[`run_tcp`].
-pub fn drive_mesh(transport: MeshTransport, machine: NodeStateMachine<u64>) -> NodeOutcome {
-    drive_mesh_opts(transport, machine, &MeshDriveOptions::default())
-}
-
-/// [`drive_mesh`] with an optional event log (see
-/// [`RunOptions::record_events`]).
-pub fn drive_mesh_with(
-    transport: MeshTransport,
-    machine: NodeStateMachine<u64>,
-    record_events: bool,
-) -> NodeOutcome {
-    drive_mesh_opts(
-        transport,
-        machine,
-        &MeshDriveOptions {
-            record_events,
-            ..MeshDriveOptions::default()
-        },
-    )
-}
-
-/// [`drive_mesh`] with the full option set.
-pub fn drive_mesh_opts(
+/// endpoint, and the per-node body of the channel and TCP backends of
+/// [`run_kind`].
+pub fn drive_mesh(
     mut transport: MeshTransport,
     mut machine: NodeStateMachine<u64>,
     options: &MeshDriveOptions,
@@ -623,7 +589,7 @@ fn run_mesh(
         .zip(machines)
         .map(|(t, m)| {
             let drive = drive.clone();
-            thread::spawn(move || drive_mesh_opts(t, m, &drive))
+            thread::spawn(move || drive_mesh(t, m, &drive))
         })
         .collect();
     let outcomes = handles
@@ -633,84 +599,10 @@ fn run_mesh(
     TransportRun::assemble(kind, outcomes)
 }
 
-/// Runs the scenario with one OS thread per node over in-process channels.
-pub fn run_channel(
-    instance: &ByzInstance,
-    sender_value: Val,
-    strategies: &BTreeMap<NodeId, Strategy<u64>>,
-    chaos: LinkChaos,
-    config: MeshConfig,
-) -> TransportRun {
-    run_channel_with(
-        instance,
-        sender_value,
-        strategies,
-        chaos,
-        config,
-        RunOptions::default(),
-    )
-}
-
-/// [`run_channel`] with explicit [`RunOptions`].
-pub fn run_channel_with(
-    instance: &ByzInstance,
-    sender_value: Val,
-    strategies: &BTreeMap<NodeId, Strategy<u64>>,
-    chaos: LinkChaos,
-    config: MeshConfig,
-    options: RunOptions,
-) -> TransportRun {
-    let mesh = channel_mesh(instance.n(), instance.depth(), &chaos, config);
-    run_mesh(
-        TransportKind::Channel,
-        mesh,
-        instance,
-        sender_value,
-        strategies,
-        options,
-    )
-}
-
-/// Runs the scenario with one OS thread per node over loopback TCP.
-pub fn run_tcp(
-    instance: &ByzInstance,
-    sender_value: Val,
-    strategies: &BTreeMap<NodeId, Strategy<u64>>,
-    chaos: LinkChaos,
-    config: MeshConfig,
-) -> io::Result<TransportRun> {
-    run_tcp_with(
-        instance,
-        sender_value,
-        strategies,
-        chaos,
-        config,
-        RunOptions::default(),
-    )
-}
-
-/// [`run_tcp`] with explicit [`RunOptions`].
-pub fn run_tcp_with(
-    instance: &ByzInstance,
-    sender_value: Val,
-    strategies: &BTreeMap<NodeId, Strategy<u64>>,
-    chaos: LinkChaos,
-    config: MeshConfig,
-    options: RunOptions,
-) -> io::Result<TransportRun> {
-    let mesh = tcp_mesh(instance.n(), instance.depth(), &chaos, config)?;
-    Ok(run_mesh(
-        TransportKind::Tcp,
-        mesh,
-        instance,
-        sender_value,
-        strategies,
-        options,
-    ))
-}
-
 /// Runs the scenario on the backend selected by `kind` — the harness/CLI
-/// entry point. Only the TCP backend can actually fail (socket setup).
+/// entry point. The simulator runs with exact absence detection (use
+/// [`run_sim`] for §6 skew); the channel and TCP meshes run one OS thread
+/// per node. Only the TCP backend can actually fail (socket setup).
 pub fn run_kind(
     kind: TransportKind,
     instance: &ByzInstance,
@@ -718,49 +610,30 @@ pub fn run_kind(
     strategies: &BTreeMap<NodeId, Strategy<u64>>,
     chaos: LinkChaos,
     config: MeshConfig,
+    options: RunOptions,
 ) -> io::Result<TransportRun> {
-    run_kind_with(
+    let mesh = match kind {
+        TransportKind::Sim => {
+            return Ok(run_sim(
+                instance,
+                sender_value,
+                strategies,
+                chaos,
+                None,
+                options,
+            ))
+        }
+        TransportKind::Channel => channel_mesh(instance.n(), instance.depth(), &chaos, config),
+        TransportKind::Tcp => tcp_mesh(instance.n(), instance.depth(), &chaos, config)?,
+    };
+    Ok(run_mesh(
         kind,
+        mesh,
         instance,
         sender_value,
         strategies,
-        chaos,
-        config,
-        RunOptions::default(),
-    )
-}
-
-/// [`run_kind`] with explicit [`RunOptions`].
-pub fn run_kind_with(
-    kind: TransportKind,
-    instance: &ByzInstance,
-    sender_value: Val,
-    strategies: &BTreeMap<NodeId, Strategy<u64>>,
-    chaos: LinkChaos,
-    config: MeshConfig,
-    options: RunOptions,
-) -> io::Result<TransportRun> {
-    match kind {
-        TransportKind::Sim => Ok(run_sim_with(
-            instance,
-            sender_value,
-            strategies,
-            chaos,
-            None,
-            options,
-        )),
-        TransportKind::Channel => Ok(run_channel_with(
-            instance,
-            sender_value,
-            strategies,
-            chaos,
-            config,
-            options,
-        )),
-        TransportKind::Tcp => {
-            run_tcp_with(instance, sender_value, strategies, chaos, config, options)
-        }
-    }
+        options,
+    ))
 }
 
 #[cfg(test)]
@@ -783,6 +656,7 @@ mod tests {
             &strategies,
             LinkChaos::healthy(),
             None,
+            RunOptions::default(),
         );
         assert_eq!(run.decisions, oracle.decisions);
         for d in run.decisions.values() {
@@ -811,6 +685,7 @@ mod tests {
             &strategies,
             LinkChaos::healthy(),
             None,
+            RunOptions::default(),
         );
         assert_eq!(run.decisions, oracle.decisions);
     }
@@ -827,14 +702,18 @@ mod tests {
             &strategies,
             LinkChaos::healthy(),
             None,
+            RunOptions::default(),
         );
-        let chan = run_channel(
+        let chan = run_kind(
+            TransportKind::Channel,
             &inst,
             Val::Value(8),
             &strategies,
             LinkChaos::healthy(),
             MeshConfig::default(),
-        );
+            RunOptions::default(),
+        )
+        .expect("channel mesh");
         assert_eq!(chan.decisions, sim.decisions);
         assert_eq!(chan.views, sim.views);
         assert_eq!(chan.stats.chaos_signature(), sim.stats.chaos_signature());
@@ -853,9 +732,10 @@ mod tests {
             &strategies,
             LinkChaos::healthy(),
             None,
+            RunOptions::default(),
         );
         let runs = [
-            run_sim_with(
+            run_sim(
                 &inst,
                 Val::Value(42),
                 &strategies,
@@ -863,15 +743,18 @@ mod tests {
                 None,
                 RunOptions::early_stop(),
             ),
-            run_channel_with(
+            run_kind(
+                TransportKind::Channel,
                 &inst,
                 Val::Value(42),
                 &strategies,
                 LinkChaos::healthy(),
                 MeshConfig::default(),
                 RunOptions::early_stop(),
-            ),
-            run_tcp_with(
+            )
+            .expect("channel mesh"),
+            run_kind(
+                TransportKind::Tcp,
                 &inst,
                 Val::Value(42),
                 &strategies,
@@ -913,7 +796,7 @@ mod tests {
             .collect();
         for (strategies, prunes) in [(two_liars, false), (lying_sender, true)] {
             let oracle = run_protocol(&inst, &Val::Value(1), &strategies, 7);
-            let run = run_sim_with(
+            let run = run_sim(
                 &inst,
                 Val::Value(1),
                 &strategies,
@@ -933,7 +816,7 @@ mod tests {
     #[test]
     fn recorded_events_cover_every_round_close() {
         let inst = instance(4, 1, 1);
-        let run = run_sim_with(
+        let run = run_sim(
             &inst,
             Val::Value(3),
             &BTreeMap::new(),
@@ -961,7 +844,7 @@ mod tests {
     fn traced_sim_run_records_a_complete_deterministic_chain() {
         let inst = instance(4, 1, 1);
         let run = |_| {
-            run_sim_with(
+            run_sim(
                 &inst,
                 Val::Value(9),
                 &BTreeMap::new(),
@@ -1018,9 +901,10 @@ mod tests {
             &strategies,
             LinkChaos::healthy(),
             None,
+            RunOptions::default(),
         );
         for kind in TransportKind::ALL {
-            let run = run_kind_with(
+            let run = run_kind(
                 kind,
                 &inst,
                 Val::Value(4),
@@ -1051,13 +935,16 @@ mod tests {
             &strategies,
             LinkChaos::healthy(),
             None,
+            RunOptions::default(),
         );
-        let tcp = run_tcp(
+        let tcp = run_kind(
+            TransportKind::Tcp,
             &inst,
             Val::Value(77),
             &strategies,
             LinkChaos::healthy(),
             MeshConfig::default(),
+            RunOptions::default(),
         )
         .unwrap();
         assert_eq!(tcp.decisions, sim.decisions);

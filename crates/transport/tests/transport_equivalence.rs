@@ -25,7 +25,8 @@ use degradable::{
 use simnet::{LinkFaultKind, LinkFaultPlan, NodeId};
 use std::collections::BTreeMap;
 use transport::{
-    run_channel, run_sim, run_tcp, LinkChaos, MeshConfig, RelaxedTiming, TransportRun,
+    run_kind, run_sim, LinkChaos, MeshConfig, RelaxedTiming, RunOptions, TransportKind,
+    TransportRun,
 };
 
 /// `(m, u)` per node count: each is a valid BYZ shape (`n >= 2m + u + 1`).
@@ -103,6 +104,7 @@ fn deterministic_plans_match_the_prerefactor_oracle() {
                 &strategies,
                 LinkChaos::new(plan, 7),
                 None,
+                RunOptions::default(),
             );
             assert_eq!(
                 sim.decisions, oracle.decisions,
@@ -130,20 +132,32 @@ fn all_three_backends_decide_identically_on_every_shape_and_plan() {
         ];
         for (label, plan) in plans {
             let chaos = LinkChaos::new(plan, 0xD1CE + n as u64);
-            let sim = run_sim(&inst, Val::Value(42), &strategies, chaos.clone(), None);
-            let chan = run_channel(
+            let sim = run_sim(
+                &inst,
+                Val::Value(42),
+                &strategies,
+                chaos.clone(),
+                None,
+                RunOptions::default(),
+            );
+            let chan = run_kind(
+                TransportKind::Channel,
                 &inst,
                 Val::Value(42),
                 &strategies,
                 chaos.clone(),
                 MeshConfig::default(),
-            );
-            let tcp = run_tcp(
+                RunOptions::default(),
+            )
+            .expect("channel mesh");
+            let tcp = run_kind(
+                TransportKind::Tcp,
                 &inst,
                 Val::Value(42),
                 &strategies,
                 chaos,
                 MeshConfig::default(),
+                RunOptions::default(),
             )
             .expect("loopback mesh");
             for other in [&chan, &tcp] {
@@ -180,6 +194,7 @@ fn sim_reruns_are_bit_identical() {
         &strategies,
         LinkChaos::new(plan.clone(), 3),
         None,
+        RunOptions::default(),
     );
     let b = run_sim(
         &inst,
@@ -187,6 +202,7 @@ fn sim_reruns_are_bit_identical() {
         &strategies,
         LinkChaos::new(plan, 3),
         None,
+        RunOptions::default(),
     );
     assert_eq!(a.decisions, b.decisions);
     assert_eq!(a.views, b.views);
@@ -240,6 +256,7 @@ fn false_timeouts_beyond_m_still_satisfy_the_degraded_conditions() {
             &strategies,
             LinkChaos::healthy(),
             Some(relaxed),
+            RunOptions::default(),
         );
         saw_false_timeout |= run.stats.false_timeouts > 0;
         let verdict = check_degradable(&record_of(&run, &inst, &strategies));
@@ -275,6 +292,7 @@ fn zero_skew_relaxed_timing_matches_exact_detection() {
         &strategies,
         LinkChaos::healthy(),
         Some(relaxed),
+        RunOptions::default(),
     );
     let exact = run_sim(
         &inst,
@@ -282,6 +300,7 @@ fn zero_skew_relaxed_timing_matches_exact_detection() {
         &strategies,
         LinkChaos::healthy(),
         None,
+        RunOptions::default(),
     );
     assert_eq!(skewless.decisions, exact.decisions);
     assert_eq!(skewless.views, exact.views);
@@ -428,6 +447,7 @@ fn false_timeouts_are_counted_between_fault_free_pairs_only() {
         &strategies,
         LinkChaos::healthy(),
         Some(relaxed),
+        RunOptions::default(),
     );
     assert!(run.stats.false_timeouts > 0);
     // Fault-free senders are 0, 1, 2; fault-free receivers 1, 2 (the

@@ -11,7 +11,7 @@
 use degradable::{check_degradable, run_protocol_with, ByzInstance, Params, Val};
 use simnet::{
     FaultKind, FaultPlan, FaultSchedule, LinkFaultKind, LinkFaultPlan, NodeId, RoundEngine,
-    Topology, TraceEvent,
+    Topology,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -105,10 +105,10 @@ fn recovery_after_burst_is_clean_for_fresh_instances() {
 
 #[test]
 fn drop_causes_are_attributed_distinctly_in_the_trace() {
-    // Node 1 crashes mid-run AND the 2->3 link is cut mid-run: the trace
-    // must attribute every lost message to exactly one explicit cause —
-    // node fault (DroppedCrash) or link fault (LinkCut) — never both, and
-    // the outcome counters must agree with the trace.
+    // Node 1 crashes from round 1 AND the 2->3 link is cut from round 1:
+    // the outcome must attribute every lost message to exactly one cause —
+    // node fault (dropped_crash) or link fault (dropped_link_cut), never
+    // both — and receivers must see exactly those messages as absent.
     let schedule = FaultSchedule::healthy().then_from(1, crash_from(1, 0));
     let links = LinkFaultPlan::healthy().with(
         NodeId::new(2),
@@ -117,31 +117,36 @@ fn drop_causes_are_attributed_distinctly_in_the_trace() {
     );
     let mut engine = RoundEngine::<u64>::new(Topology::complete(5), 3)
         .with_fault_schedule(schedule)
-        .with_link_faults(links)
-        .with_trace();
-    let outcome = engine.run(3, |ctx| ctx.broadcast(ctx.me().index() as u64));
-    let trace = engine.trace().expect("tracing enabled");
-
-    let crashes = trace.count(|e| matches!(e, TraceEvent::DroppedCrash { .. }));
-    let cuts = trace.count(|e| matches!(e, TraceEvent::LinkCut { .. }));
-    assert_eq!(crashes, outcome.dropped_crash);
-    assert_eq!(cuts, outcome.dropped_link_cut);
-    assert!(crashes > 0 && cuts > 0);
-
-    for event in trace.events() {
-        match *event {
-            // Only the crashed node's sends are attributed to the crash.
-            TraceEvent::DroppedCrash { src, .. } => assert_eq!(src, NodeId::new(1)),
-            // Only the cut edge, only from its activation round — and a
-            // crashed sender's messages never reach the link layer, so
-            // they are not double-attributed here.
-            TraceEvent::LinkCut { round, src, dst } => {
-                assert_eq!((src, dst), (NodeId::new(2), NodeId::new(3)));
-                assert!(round >= 1);
+        .with_link_faults(links);
+    // (receive round, src, dst) for every expected-but-absent message.
+    let mut absences = BTreeSet::new();
+    let outcome = engine.run(3, |ctx| {
+        if ctx.round() > 0 {
+            for &src in ctx.peers() {
+                if ctx.absent(src) {
+                    absences.insert((ctx.round(), src.index(), ctx.me().index()));
+                }
             }
-            _ => {}
         }
-    }
+        ctx.broadcast(ctx.me().index() as u64);
+    });
+
+    // Node 1's sends in rounds 1 and 2 (4 peers each) die at the crash;
+    // the cut edge kills 2->3 in rounds 1 and 2. A crashed sender's
+    // messages never reach the link layer, so none is counted twice.
+    assert_eq!(outcome.dropped_crash, 8);
+    assert_eq!(outcome.dropped_link_cut, 2);
+    assert_eq!(
+        outcome.sent,
+        outcome.delivered + outcome.dropped_crash + outcome.dropped_link_cut,
+        "each message has exactly one disposition"
+    );
+    // Round-1 sends are read in round 2 (round-2 sends land after the
+    // run ends): only the crashed node's and the cut edge's are missing.
+    let expected: BTreeSet<_> = [(2, 1, 0), (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 3)]
+        .into_iter()
+        .collect();
+    assert_eq!(absences, expected);
 }
 
 #[test]

@@ -269,7 +269,7 @@ fn early_stop_chaos_transport_folds_are_internally_consistent() {
     // match an unpruned run — but every receiver's decision must still
     // be exactly the pruned recursive fold of its OWN materialized
     // view, and fault-free runs must still report real savings.
-    use transport::{run_kind_with, LinkChaos, MeshConfig, RunOptions, TransportKind};
+    use transport::{run_kind, LinkChaos, MeshConfig, RunOptions, TransportKind};
     let mut rng = SimRng::seed(0xE19_C405);
     for n in [5usize, 7, 9] {
         for m in [1usize, 2] {
@@ -295,7 +295,7 @@ fn early_stop_chaos_transport_folds_are_internally_consistent() {
                     .collect();
                 let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
                 let chaos = LinkChaos::new(random_plan(n, &mut rng), rng.below(u64::MAX));
-                let run = run_kind_with(
+                let run = run_kind(
                     TransportKind::Sim,
                     &instance,
                     Val::Value(7),
